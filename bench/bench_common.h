@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -229,6 +230,24 @@ inline void reject_unknown_flags(const util::Cli& cli) {
 /// stays a clean report.
 inline void progress(const std::string& message) {
   std::cerr << "[mlck] " << message << "\n";
+}
+
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// Best-of-repeats wall time of @p fn, in seconds.
+template <typename Fn>
+double time_best(int repeats, const Fn& fn) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < repeats; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    best = std::min(best, seconds_since(start));
+  }
+  return best;
 }
 
 }  // namespace mlck::bench

@@ -50,13 +50,8 @@
 
 namespace {
 
+using mlck::bench::seconds_since;
 using mlck::util::Json;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 bool same_plan(const mlck::core::CheckpointPlan& a,
                const mlck::core::CheckpointPlan& b) {

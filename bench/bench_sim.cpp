@@ -27,7 +27,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,25 +46,8 @@
 
 namespace {
 
+using mlck::bench::time_best;
 using mlck::util::Json;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// Best-of-repeats wall time of one trial batch.
-template <typename Fn>
-double time_best(int repeats, const Fn& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    best = std::min(best, seconds_since(start));
-  }
-  return best;
-}
 
 bool same_summary(const mlck::stats::Summary& a,
                   const mlck::stats::Summary& b) {

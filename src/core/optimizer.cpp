@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -11,7 +12,6 @@
 #include <utility>
 
 #include "core/dauwe_kernel.h"
-#include "math/simd.h"
 #include "obs/trace.h"
 #include "util/parallel.h"
 
@@ -21,9 +21,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-using math::kSimdLanes;
-using math::LaneMask;
-using math::Vec8d;
+/// Tau0 grid points per lane-batched sweep task. Fixed, so block shapes,
+/// slots and the pruned counts are the same on every host.
+constexpr int kLanes = 8;
+
+/// Lane mask: bit l set means lane l participates.
+using LaneMask = std::uint8_t;
 
 struct Candidate {
   double time = kInf;
@@ -53,7 +56,7 @@ std::vector<double> log_grid(double lo, double hi, int points) {
 /// Per-plan evaluator: one shared thread-safe cost callable per subset;
 /// each sweep slice assembles candidate plans and invokes it at the
 /// leaves. This is the path for arbitrary ExecutionTimeModels and the
-/// reference the staged evaluator is tested against.
+/// reference the staged sweep is tested against.
 template <typename CostFn>
 struct CostEvaluator {
   CostFn cost;             ///< shared across slices; must be thread-safe
@@ -78,37 +81,23 @@ struct CostEvaluator {
   double plan_cost(const CheckpointPlan& plan) const { return cost(plan); }
 };
 
-/// Prefix-incremental evaluator over a DauweKernel cursor: set_count(d, n)
-/// completes stage d once per prefix node, so a leaf only pays for the
-/// top stage and the scratch wrap. Bit-identical to CostEvaluator over
-/// kernel.expected_time — the cursor is the per-plan path's arithmetic.
+/// Kernel evaluator: the coarse pass runs lane_sweep over its cursors,
+/// refinement calls kernel.expected_time — the same arithmetic, so every
+/// leaf value is bit-identical to CostEvaluator over the kernel.
 struct StagedEvaluator {
   const DauweKernel* kernel;
-
-  struct Slice {
-    DauweKernel::Cursor cursor;
-    void begin(double tau0) noexcept { cursor.begin(tau0); }
-    void set_count(std::size_t dim, int n) noexcept {
-      cursor.push_stage(static_cast<int>(dim), n);
-    }
-    double leaf(double pattern) noexcept {
-      return cursor.finish_expected_time(pattern);
-    }
-  };
-
-  Slice slice() const { return Slice{kernel->cursor()}; }
 
   double plan_cost(const CheckpointPlan& plan) const {
     return kernel->expected_time(plan.tau0, plan.counts);
   }
 };
 
-/// Enumerates the ladder^dims count lattice for one tau0 slice — the old
-/// recursive sweep flattened into an explicit rung stack so evaluators
-/// can reuse per-prefix state across siblings. Visit order, the
-/// feasibility prune (the ladder ascends, so the first infeasible rung
-/// cuts the rest of the depth), and best-candidate tie-breaking are
-/// identical to the recursive formulation. @p pruned counts *leaf plans*
+/// Enumerates the ladder^dims count lattice for one tau0 slice of a
+/// per-plan (CostEvaluator) search — the old recursive sweep flattened
+/// into an explicit rung stack. Visit order, the feasibility prune (the
+/// ladder ascends, so the first infeasible rung cuts the rest of the
+/// depth), and best-candidate tie-breaking are identical to the recursive
+/// formulation. @p pruned counts *leaf plans*
 /// eliminated: each rung cut at depth d hides ladder^(dims-1-d) leaves,
 /// so evals + pruned == ladder^dims for every slice.
 template <typename Slice>
@@ -175,8 +164,8 @@ void sweep_slice(Slice& slice, double tau0, double base_time,
 
 /// Per-(subset, tau0) coarse-pass output. One slot per tau0 point keeps
 /// the reduction serial and deterministic regardless of how slices are
-/// grouped into tasks (scalar: one task per slot; lane-batched: one task
-/// per 8 slots).
+/// grouped into tasks (per-plan: one task per slot; staged: one task per
+/// 8 slots).
 struct Slot {
   Candidate best;
   std::size_t evals = 0;
@@ -229,16 +218,15 @@ BoundTerms bound_terms(const DauweKernel& kernel) {
   return bt;
 }
 
-/// Inputs of one lane-batched sweep task: up to kSimdLanes consecutive
-/// tau0 grid points of one level subset, walked through the count lattice
+/// Inputs of one lane-batched sweep task: up to kLanes consecutive tau0
+/// grid points of one level subset, walked through the count lattice
 /// together.
 struct LaneSweepArgs {
   const DauweKernel* kernel = nullptr;
   const double* taus = nullptr;  ///< ascending lane tau0 values
-  int nlanes = 0;                ///< 1..kSimdLanes
+  int nlanes = 0;                ///< 1..kLanes
   double base_time = 0.0;
   const std::vector<int>* ladder = nullptr;
-  bool prune = false;
   /// Best expected time found so far for this level subset, shared across
   /// all of its sweep tasks. Monotone non-increasing, so relaxed loads are
   /// safe: a stale value can only prune less, never a surviving candidate.
@@ -246,27 +234,24 @@ struct LaneSweepArgs {
   Slot* slots = nullptr;  ///< nlanes entries, one per tau0 point
 };
 
-/// The lane-batched counterpart of sweep_slice: eight scalar cursors
-/// advance in lockstep through one shared rung-stack walk, so the lattice
-/// bookkeeping (rungs, pattern prefix, leaves_below) is paid once per
-/// block instead of once per tau0 point, while every model value still
-/// comes out of the scalar DauweKernel::Cursor arithmetic — the lanes
-/// change which subtrees are *visited*, never what a visited leaf is
-/// worth. Per-lane accounting matches the scalar walk exactly:
+/// The kernel sweep, the lane-batched and pruned counterpart of
+/// sweep_slice: eight scalar cursors advance in lockstep through one
+/// shared rung-stack walk, so the lattice bookkeeping (rungs, pattern
+/// prefix, leaves_below) is paid once per block instead of once per tau0
+/// point, while every model value still comes out of the scalar
+/// DauweKernel::Cursor arithmetic — the lanes and the bound change which
+/// subtrees are *visited*, never what a visited leaf is worth. Per-lane
+/// accounting tiles the lattice exactly:
 /// evals + pruned_feas + pruned_bound == ladder^dims for every lane.
 void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
   const std::vector<int>& ladder = *a.ladder;
   const std::size_t dims = counts.size();
 
-  DauweKernel::Cursor cursors[kSimdLanes] = {
+  DauweKernel::Cursor cursors[kLanes] = {
       a.kernel->cursor(), a.kernel->cursor(), a.kernel->cursor(),
       a.kernel->cursor(), a.kernel->cursor(), a.kernel->cursor(),
       a.kernel->cursor(), a.kernel->cursor()};
-  Vec8d tau0v = math::v8_splat(std::numeric_limits<double>::quiet_NaN());
-  for (int l = 0; l < a.nlanes; ++l) {
-    cursors[l].begin(a.taus[l]);
-    tau0v.lane[l] = a.taus[l];
-  }
+  for (int l = 0; l < a.nlanes; ++l) cursors[l].begin(a.taus[l]);
 
   const auto consider = [&](int l, double t) {
     Slot& s = a.slots[l];
@@ -275,11 +260,9 @@ void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
       s.best.time = t;
       s.best.tau0 = a.taus[l];
       s.best.counts = counts;
-      if (a.prune) {
-        double cur = a.incumbent->load(std::memory_order_relaxed);
-        while (t < cur && !a.incumbent->compare_exchange_weak(
-                              cur, t, std::memory_order_relaxed)) {
-        }
+      double cur = a.incumbent->load(std::memory_order_relaxed);
+      while (t < cur && !a.incumbent->compare_exchange_weak(
+                            cur, t, std::memory_order_relaxed)) {
       }
     }
   };
@@ -347,45 +330,28 @@ void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
 
     // Admissible bound at the just-entered stage e: lanes whose whole
     // subtree provably cannot beat the incumbent skip it. A dead lane's
-    // stage tau is +inf, so its bound is +inf (or NaN, which the quiet
-    // v8_gt leaves unpruned) — either way no finite-valued subtree is
+    // stage tau is +inf, so its bound is +inf or NaN; NaN compares false
+    // below and stays unpruned — either way no finite-valued subtree is
     // ever cut incorrectly.
     LaneMask next = feas;
-    if (a.prune) {
-      const double inc = a.incumbent->load(std::memory_order_relaxed);
-      if (inc < kInf) {
-        const int e = static_cast<int>(d) + 1;
-        Vec8d tau_e = math::v8_splat(0.0);
-        Vec8d gamma = math::v8_splat(0.0);
-        Vec8d gamma_e = math::v8_splat(0.0);
-        for (int l = 0; l < a.nlanes; ++l) {
-          if ((feas & (1u << l)) != 0) {
-            tau_e.lane[l] = cursors[l].stage_tau(e);
-            gamma.lane[l] = cursors[l].stage_gamma(e);
-            gamma_e.lane[l] = cursors[l].stage_gamma_e(e);
-          }
-        }
+    const double inc = a.incumbent->load(std::memory_order_relaxed);
+    if (inc < kInf) {
+      const int e = static_cast<int>(d) + 1;
+      const double occ_num = a.base_time / p;
+      const double tail = a.base_time * bt.tail_half[e];
+      for (int l = 0; l < a.nlanes; ++l) {
+        const auto bit = static_cast<LaneMask>(1u << l);
+        if ((feas & bit) == 0) continue;
         // occ_e = T_B / (tau0 * P_e); LB = occ_e * (tau_e + gamma_e E_e
         // + gamma_e R_e) + T_B * tail_half[e] * tau_e.
-        const Vec8d occ =
-            math::v8_div(math::v8_splat(a.base_time / p), tau0v);
-        const Vec8d core =
-            math::v8_fma(gamma, math::v8_splat(bt.restart_cost[e]),
-                         math::v8_add(tau_e, gamma_e));
-        const Vec8d lb = math::v8_fma(
-            occ, core,
-            math::v8_mul(math::v8_splat(a.base_time * bt.tail_half[e]),
-                         tau_e));
-        const LaneMask cut = static_cast<LaneMask>(
-            math::v8_gt(math::v8_mul(lb, math::v8_splat(safety)), inc) &
-            feas);
-        if (cut != 0) {
-          for (int l = 0; l < a.nlanes; ++l) {
-            if ((cut & (1u << l)) != 0) {
-              a.slots[l].pruned_bound += leaves_below[d];
-            }
-          }
-          next = static_cast<LaneMask>(feas & ~cut);
+        const double tau_e = cursors[l].stage_tau(e);
+        const double occ = occ_num / a.taus[l];
+        const double core = cursors[l].stage_gamma(e) * bt.restart_cost[e] +
+                            (tau_e + cursors[l].stage_gamma_e(e));
+        const double lb = occ * core + tail * tau_e;
+        if (lb * safety > inc) {
+          a.slots[l].pruned_bound += leaves_below[d];
+          next = static_cast<LaneMask>(next & ~bit);
         }
       }
     }
@@ -413,7 +379,7 @@ void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
 /// subset — serially, in search order — and returns the per-subset
 /// evaluator (CostEvaluator or StagedEvaluator). The coarse pass then
 /// runs one independent task per (subset, tau0) pair — or per
-/// (subset, 8-wide tau0 block) on the lane-batched staged path — so
+/// (subset, 8-wide tau0 block) on the kernel path — so
 /// systems with few interior dims still expose many units of
 /// parallelism; reduction and refinement stay serial and deterministic.
 template <typename MakeEvaluator>
@@ -452,66 +418,53 @@ OptimizationResult optimize_impl(const MakeEvaluator& make_evaluator,
 
   // Coarse pass: every (subset, tau0) slice finds its own best, written
   // to a private slot; the reduction below is serial and deterministic.
-  // The staged path batches eight consecutive tau0 slices into one
-  // lane-sweep task (still one slot per slice), and shares a per-subset
-  // incumbent so the admissible bound can cut subtrees across tasks. The
-  // incumbent is per *subset*, not global: a globally-pruned subset could
-  // otherwise hand refinement a different starting candidate and change
-  // the returned winner; per-subset, the subset's own optimum can never
-  // be cut, so every refinement start — and hence the winner — is
-  // preserved exactly.
+  // The per-plan path runs one sweep_slice task per slice. The kernel
+  // path batches eight consecutive tau0 slices into one lane_sweep task
+  // (still one slot per slice), and shares a per-subset incumbent so the
+  // admissible bound can cut subtrees across tasks. The incumbent is per
+  // *subset*, not global: a globally-pruned subset could otherwise hand
+  // refinement a different starting candidate and change the returned
+  // winner; per-subset, the subset's own optimum can never be cut, so
+  // every refinement start — and hence the winner — is preserved exactly.
   const std::size_t nt = taus.size();
   std::vector<Slot> slot(subsets.size() * nt);
   {
     obs::Span coarse(options.trace, "optimizer.coarse_sweep", "optimizer");
-    bool lane_batched = false;
     if constexpr (std::is_same_v<Evaluator, StagedEvaluator>) {
-      if (options.lane_batch) {
-        lane_batched = true;
-        std::vector<std::atomic<double>> incumbent(subsets.size());
-        for (auto& inc : incumbent) {
-          inc.store(kInf, std::memory_order_relaxed);
-        }
-        const std::size_t blocks =
-            (nt + kSimdLanes - 1) / static_cast<std::size_t>(kSimdLanes);
-        // Strided block order: early tasks sample tau0 blocks spread
-        // across the whole grid, so each subset owns a near-optimal
-        // incumbent after ~sqrt(blocks) tasks instead of only once the
-        // ascending sweep reaches the optimum's neighborhood. Execution
-        // order only — slots, accounting, and the winner are
-        // order-independent.
-        std::vector<std::size_t> order;
-        order.reserve(blocks);
-        const auto stride = std::max<std::size_t>(
-            1, static_cast<std::size_t>(
-                   std::lround(std::sqrt(static_cast<double>(blocks)))));
-        for (std::size_t s = 0; s < stride; ++s) {
-          for (std::size_t b = s; b < blocks; b += stride) {
-            order.push_back(b);
-          }
-        }
-        util::parallel_for(pool, subsets.size() * blocks,
-                           [&](std::size_t idx) {
-          obs::Span span(options.trace, "optimizer.sweep_block",
-                         "optimizer");
-          const std::size_t si = idx / blocks;
-          const std::size_t t0 = order[idx % blocks] * kSimdLanes;
-          std::vector<int> counts(subsets[si].size() - 1, 0);
-          LaneSweepArgs args;
-          args.kernel = evaluator[si].kernel;
-          args.taus = taus.data() + t0;
-          args.nlanes = static_cast<int>(
-              std::min<std::size_t>(kSimdLanes, nt - t0));
-          args.base_time = system.base_time;
-          args.ladder = &ladder;
-          args.prune = options.prune;
-          args.incumbent = &incumbent[si];
-          args.slots = slot.data() + si * nt + t0;
-          lane_sweep(args, counts);
-        });
+      std::vector<std::atomic<double>> incumbent(subsets.size());
+      for (auto& inc : incumbent) inc.store(kInf, std::memory_order_relaxed);
+      const std::size_t blocks =
+          (nt + kLanes - 1) / static_cast<std::size_t>(kLanes);
+      // Strided block order: early tasks sample tau0 blocks spread across
+      // the whole grid, so each subset owns a near-optimal incumbent after
+      // ~sqrt(blocks) tasks instead of only once the ascending sweep
+      // reaches the optimum's neighborhood. Execution order only — slots,
+      // accounting, and the winner are order-independent.
+      std::vector<std::size_t> order;
+      order.reserve(blocks);
+      const auto stride = std::max<std::size_t>(
+          1, static_cast<std::size_t>(
+                 std::lround(std::sqrt(static_cast<double>(blocks)))));
+      for (std::size_t s = 0; s < stride; ++s) {
+        for (std::size_t b = s; b < blocks; b += stride) order.push_back(b);
       }
-    }
-    if (!lane_batched) {
+      util::parallel_for(pool, subsets.size() * blocks, [&](std::size_t idx) {
+        obs::Span span(options.trace, "optimizer.sweep_block", "optimizer");
+        const std::size_t si = idx / blocks;
+        const std::size_t t0 = order[idx % blocks] * kLanes;
+        std::vector<int> counts(subsets[si].size() - 1, 0);
+        LaneSweepArgs args;
+        args.kernel = evaluator[si].kernel;
+        args.taus = taus.data() + t0;
+        args.nlanes =
+            static_cast<int>(std::min<std::size_t>(kLanes, nt - t0));
+        args.base_time = system.base_time;
+        args.ladder = &ladder;
+        args.incumbent = &incumbent[si];
+        args.slots = slot.data() + si * nt + t0;
+        lane_sweep(args, counts);
+      });
+    } else {
       util::parallel_for(pool, slot.size(), [&](std::size_t idx) {
         obs::Span span(options.trace, "optimizer.sweep_slice", "optimizer");
         const std::size_t si = idx / nt;

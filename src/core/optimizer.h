@@ -26,8 +26,8 @@ struct OptimizerMetrics {
   obs::Counter* plans_pruned = nullptr;
   /// Leaf plans eliminated because an admissible lower bound on their
   /// subtree exceeded the best expected time already found for the same
-  /// level subset (staged sweep with OptimizerOptions::prune only; the
-  /// other term of the lattice accounting identity above).
+  /// level subset (the staged kernel sweep only; the other term of the
+  /// lattice accounting identity above).
   obs::Counter* plans_pruned_bound = nullptr;
   obs::Counter* plans_refined = nullptr;  ///< refinement cost evaluations
   obs::Counter* subsets_searched = nullptr;  ///< level subsets swept
@@ -58,32 +58,15 @@ struct OptimizerOptions {
   /// {L-1} for traditional checkpoint/restart). Overrides suffix skipping.
   std::vector<int> restrict_levels;
 
-  /// Batch the staged coarse sweep: eight tau0 grid points advance through
-  /// one shared count-lattice walk as lanes of scalar kernel cursors
-  /// (math/simd.h backends serve only the bound/mask arithmetic). Winner,
-  /// expected time, and the lattice accounting are identical to the
-  /// unbatched sweep; only wall-clock changes. Ignored by the per-plan
-  /// (non-staged) overloads, which cannot share stage state across plans.
-  bool lane_batch = true;
-
-  /// Skip count-lattice subtrees whose admissible first-order lower bound
-  /// (Benoit-style single-level relaxation; docs/PERFORMANCE.md) exceeds
-  /// the best expected time already found for the same level subset. The
-  /// selected plan and its expected time are unchanged — a subtree
-  /// containing a subset's optimum can never satisfy the cut — but
-  /// OptimizationResult::evaluations shrinks and, under a thread pool,
-  /// varies run to run with incumbent propagation timing. Requires
-  /// lane_batch and the staged path; ignored elsewhere.
-  bool prune = true;
-
   /// Observe-only counters for the search (docs/OBSERVABILITY.md).
   /// Non-owning; ignored by JSON (de)serialization and by comparisons.
   OptimizerMetrics* metrics = nullptr;
 
   /// Observe-only span sink for the search phases ("optimizer.coarse_sweep",
-  /// "optimizer.sweep_slice" / "optimizer.sweep_block", "optimizer.refine";
-  /// docs/OBSERVABILITY.md). Same contract as metrics: non-owning, null
-  /// skips all instrumentation, results are bit-identical either way.
+  /// "optimizer.sweep_slice" (per-plan) / "optimizer.sweep_block" (staged),
+  /// "optimizer.refine"; docs/OBSERVABILITY.md). Same contract as metrics:
+  /// non-owning, null skips all instrumentation, results are bit-identical
+  /// either way.
   obs::TraceSink* trace = nullptr;
 
   /// Rejects option combinations the search cannot serve, naming the
@@ -157,15 +140,17 @@ using SubsetKernelFactory =
 /// (DauweKernel::Cursor): entering enumeration depth k computes stage k's
 /// transcendental terms once per count prefix instead of once per leaf
 /// plan, so only the top stage and the scratch wrap run per candidate.
+/// The coarse pass walks eight tau0 grid points per task in lockstep and
+/// skips count subtrees whose admissible first-order lower bound
+/// (Benoit-style single-level relaxation; docs/PERFORMANCE.md) exceeds
+/// the best expected time already found for the same level subset.
 /// Every leaf value is bit-identical to kernel.expected_time (the cursor
-/// *is* the per-plan path's arithmetic), so the selected plan and its
-/// expected time match the per-plan overloads exactly — under every
-/// lane_batch/prune setting. With lane_batch and prune disabled the sweep
-/// is additionally *structurally* identical: same enumeration order and
-/// the same evaluation counts as the per-plan overloads. With the default
-/// lane-batched pruned sweep only the winner contract holds; evaluation
-/// counts shrink (and vary run to run under a thread pool), while the
-/// lattice accounting identity on OptimizationResult stays exact.
+/// *is* the per-plan path's arithmetic), and a subtree holding a subset's
+/// optimum can never satisfy the cut, so the selected plan, its expected
+/// time and its efficiency match the per-plan overloads exactly.
+/// Evaluation counts shrink instead, and vary run to run under a thread
+/// pool with incumbent propagation timing; the lattice accounting
+/// identity on OptimizationResult stays exact.
 OptimizationResult optimize_intervals_staged(
     const SubsetKernelFactory& factory, const systems::SystemConfig& system,
     const OptimizerOptions& options = {}, util::ThreadPool* pool = nullptr);

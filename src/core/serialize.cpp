@@ -37,7 +37,7 @@ std::vector<double> doubles_from(const Json& doc, const std::string& key) {
 std::vector<int> ints_from(const Json& doc, const std::string& key) {
   std::vector<int> out;
   for (const auto& item : doc.at(key).as_array()) {
-    out.push_back(static_cast<int>(item.as_number()));
+    out.push_back(util::json_integer<int>(item, key));
   }
   return out;
 }

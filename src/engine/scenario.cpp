@@ -45,10 +45,10 @@ void require_known_keys(const Json& doc, const char* context,
   }
 }
 
-std::vector<int> levels_from_json(const Json& doc) {
+std::vector<int> levels_from_json(const Json& doc, const std::string& key) {
   std::vector<int> out;
   for (const auto& item : doc.as_array()) {
-    out.push_back(static_cast<int>(item.as_number()));
+    out.push_back(util::json_integer<int>(item, key));
   }
   return out;
 }
@@ -142,8 +142,6 @@ Json optimizer_to_json(const core::OptimizerOptions& opts) {
   doc["max_count"] = Json(opts.max_count);
   doc["refine_rounds"] = Json(opts.refine_rounds);
   doc["allow_suffix_skipping"] = Json(opts.allow_suffix_skipping);
-  doc["lane_batch"] = Json(opts.lane_batch);
-  doc["prune"] = Json(opts.prune);
   if (!opts.restrict_levels.empty()) {
     doc["restrict_levels"] = Json(levels_to_json(opts.restrict_levels));
   }
@@ -155,20 +153,18 @@ core::OptimizerOptions optimizer_from_json(const Json& doc) {
   require_known_keys(doc, "scenario.optimizer",
                      {"coarse_tau_points", "tau_min", "max_count",
                       "refine_rounds", "allow_suffix_skipping",
-                      "lane_batch", "prune", "restrict_levels"});
+                      "restrict_levels"});
   if (const Json* v = doc.find("coarse_tau_points"))
-    opts.coarse_tau_points = static_cast<int>(v->as_number());
+    opts.coarse_tau_points = util::json_integer<int>(*v, "coarse_tau_points");
   if (const Json* v = doc.find("tau_min")) opts.tau_min = v->as_number();
   if (const Json* v = doc.find("max_count"))
-    opts.max_count = static_cast<int>(v->as_number());
+    opts.max_count = util::json_integer<int>(*v, "max_count");
   if (const Json* v = doc.find("refine_rounds"))
-    opts.refine_rounds = static_cast<int>(v->as_number());
+    opts.refine_rounds = util::json_integer<int>(*v, "refine_rounds");
   if (const Json* v = doc.find("allow_suffix_skipping"))
     opts.allow_suffix_skipping = v->as_bool();
-  if (const Json* v = doc.find("lane_batch")) opts.lane_batch = v->as_bool();
-  if (const Json* v = doc.find("prune")) opts.prune = v->as_bool();
   if (const Json* v = doc.find("restrict_levels"))
-    opts.restrict_levels = levels_from_json(*v);
+    opts.restrict_levels = levels_from_json(*v, "restrict_levels");
   return opts;
 }
 
@@ -379,9 +375,9 @@ ScenarioSpec ScenarioSpec::from_json(const Json& doc) {
   if (const Json* v = doc.find("optimizer"))
     spec.optimizer = optimizer_from_json(*v);
   if (const Json* v = doc.find("trials"))
-    spec.trials = static_cast<std::size_t>(v->as_number());
+    spec.trials = util::json_integer<std::size_t>(*v, "trials");
   if (const Json* v = doc.find("seed"))
-    spec.seed = static_cast<std::uint64_t>(v->as_number());
+    spec.seed = util::json_integer<std::uint64_t>(*v, "seed");
   if (const Json* v = doc.find("sim")) spec.sim = sim_from_json(*v);
   return spec;
 }

@@ -333,8 +333,12 @@ void dump_string(std::string& out, const std::string& s) {
 }
 
 void dump_number(std::string& out, double value) {
-  if (std::isfinite(value) && value == std::floor(value) &&
-      std::abs(value) < 1e15) {
+  if (!std::isfinite(value)) {
+    // JSON has no inf/nan literal; null keeps every document parseable.
+    out += "null";
+    return;
+  }
+  if (value == std::floor(value) && std::abs(value) < 1e15) {
     // Integral values print without a fraction ("200", not "200.0").
     out += std::to_string(static_cast<long long>(value));
     return;

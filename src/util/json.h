@@ -1,10 +1,13 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace mlck::util {
@@ -76,7 +79,8 @@ class Json {
   static Json parse(std::string_view text);
 
   /// Serializes. indent == 0 emits compact one-line JSON; indent > 0
-  /// pretty-prints with that many spaces per level.
+  /// pretty-prints with that many spaces per level. Non-finite numbers
+  /// (inf, nan) have no JSON form and are written as null.
   std::string dump(int indent = 0) const;
 
   bool operator==(const Json& other) const;
@@ -91,5 +95,26 @@ class Json {
   Array array_;
   Object object_;
 };
+
+/// Reads the number @p value as an Int. JSON numbers are doubles, and a
+/// bare cast of a fraction, a negative count or 1e300 to an integer type
+/// truncates or is undefined behaviour; this throws std::invalid_argument
+/// naming @p key unless the value is integral and within Int's range.
+template <typename Int>
+Int json_integer(const Json& value, const std::string& key) {
+  static_assert(std::is_integral_v<Int> && !std::is_same_v<Int, bool>);
+  using Limits = std::numeric_limits<Int>;
+  const double v = value.as_number();
+  // Both edges are exact doubles: lowest() is 0 or -2^digits, and
+  // 2^digits is one past max().
+  if (!(v >= static_cast<double>(Limits::lowest()) &&
+        v < std::ldexp(1.0, Limits::digits) && v == std::floor(v))) {
+    throw std::invalid_argument(
+        "\"" + key + "\" must be an integer in [" +
+        std::to_string(Limits::lowest()) + ", " +
+        std::to_string(Limits::max()) + "] (got " + value.dump() + ")");
+  }
+  return static_cast<Int>(v);
+}
 
 }  // namespace mlck::util

@@ -163,7 +163,7 @@ TEST(EngineGolden, OptimizeBitMatchesOptimizeIntervalsOnAllSystems) {
     const EvaluationEngine engine(sys);
     const auto opts = quick_search();
     const auto direct = core::optimize_intervals(model, sys, opts);
-    // The engine default (lane-batched pruned sweep) keeps the winner
+    // The engine's staged sweep (lane-batched and pruned) keeps the winner
     // bit-identical while evaluating fewer leaves.
     const auto pruned = engine.optimize(opts);
     EXPECT_EQ(direct.plan.tau0, pruned.plan.tau0) << name;
@@ -172,18 +172,13 @@ TEST(EngineGolden, OptimizeBitMatchesOptimizeIntervalsOnAllSystems) {
     EXPECT_EQ(direct.expected_time, pruned.expected_time) << name;
     EXPECT_EQ(direct.efficiency, pruned.efficiency) << name;
     EXPECT_LE(pruned.evaluations, direct.evaluations) << name;
-    // With lanes and pruning off the staged path is structurally
-    // identical, down to the evaluation count.
-    auto exact_opts = opts;
-    exact_opts.lane_batch = false;
-    exact_opts.prune = false;
-    const auto exact = engine.optimize(exact_opts);
-    EXPECT_EQ(direct.plan.tau0, exact.plan.tau0) << name;
-    EXPECT_EQ(direct.plan.counts, exact.plan.counts) << name;
-    EXPECT_EQ(direct.plan.levels, exact.plan.levels) << name;
-    EXPECT_EQ(direct.expected_time, exact.expected_time) << name;
-    EXPECT_EQ(direct.efficiency, exact.efficiency) << name;
-    EXPECT_EQ(direct.evaluations, exact.evaluations) << name;
+    // Both searches tile the same coarse lattice exactly; only the
+    // staged one cuts by the bound.
+    EXPECT_EQ(direct.pruned_bound, 0u) << name;
+    EXPECT_EQ(pruned.coarse_evaluations + pruned.pruned_feasibility +
+                  pruned.pruned_bound,
+              direct.coarse_evaluations + direct.pruned_feasibility)
+        << name;
   }
 }
 
@@ -198,16 +193,12 @@ TEST(EngineGolden, OptimizeBitMatchesWithThreadPool) {
   EXPECT_EQ(direct.plan.counts, pruned.plan.counts);
   EXPECT_EQ(direct.plan.levels, pruned.plan.levels);
   EXPECT_EQ(direct.expected_time, pruned.expected_time);
+  EXPECT_EQ(direct.efficiency, pruned.efficiency);
   EXPECT_LE(pruned.evaluations, direct.evaluations);
-  core::OptimizerOptions exact_opts;
-  exact_opts.lane_batch = false;
-  exact_opts.prune = false;
-  const auto exact = engine.optimize(exact_opts, &pool);
-  EXPECT_EQ(direct.plan.tau0, exact.plan.tau0);
-  EXPECT_EQ(direct.plan.counts, exact.plan.counts);
-  EXPECT_EQ(direct.plan.levels, exact.plan.levels);
-  EXPECT_EQ(direct.expected_time, exact.expected_time);
-  EXPECT_EQ(direct.evaluations, exact.evaluations);
+  EXPECT_EQ(direct.pruned_bound, 0u);
+  EXPECT_EQ(pruned.coarse_evaluations + pruned.pruned_feasibility +
+                pruned.pruned_bound,
+            direct.coarse_evaluations + direct.pruned_feasibility);
 }
 
 TEST(Engine, ContextsAreCachedAndReused) {
@@ -400,6 +391,62 @@ TEST(ScenarioSpec, RejectsTypoedKeysNamingKeyAndSection) {
   expect_unknown_key_rejected("optimizer", "coarse_points");
   expect_unknown_key_rejected("failure", "shap");            // shape
   expect_unknown_key_rejected("sim", "restart_polcy");
+}
+
+// Sets @p key in @p section ("scenario" for the root) of a valid
+// document to @p value and asserts from_json rejects it naming the key.
+void expect_integer_rejected(const char* section, const char* key,
+                             util::Json value) {
+  ScenarioSpec spec;
+  spec.system = systems::table1_system("D2");
+  spec.system_ref = "D2";
+  auto doc = spec.to_json();
+  auto& root = doc.make_object();
+  auto& target = std::string(section) == "scenario"
+                     ? root
+                     : root[section].make_object();
+  target[key] = value;
+  const std::string shown = value.dump();
+  try {
+    ScenarioSpec::from_json(doc);
+    FAIL() << key << " = " << shown << " was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find(std::string("\"") + key + "\""),
+              std::string::npos)
+        << message;
+  }
+}
+
+TEST(ScenarioSpec, RejectsNonIntegralAndOutOfRangeIntegerFields) {
+  // JSON numbers are doubles; casting these straight to the integer
+  // fields would truncate or be undefined behaviour.
+  expect_integer_rejected("scenario", "trials", util::Json(-1));
+  expect_integer_rejected("scenario", "trials", util::Json(2.5));
+  expect_integer_rejected("scenario", "seed", util::Json(-3));
+  // 2^64 is one past the uint64 seed's max; it must not wrap.
+  expect_integer_rejected("scenario", "seed",
+                          util::Json(18446744073709551616.0));
+  expect_integer_rejected("optimizer", "coarse_tau_points",
+                          util::Json(1e300));
+  expect_integer_rejected("optimizer", "max_count", util::Json(3e9));
+  expect_integer_rejected("optimizer", "refine_rounds", util::Json(0.5));
+  expect_integer_rejected("optimizer", "restrict_levels",
+                          util::Json(util::Json::Array{util::Json(1e20)}));
+
+  // Integral values are read exactly, whatever their spelling.
+  auto doc = util::Json::parse(
+      R"({"system":"D2","trials":1e3,"seed":9007199254740992,)"
+      R"("optimizer":{"max_count":64.0}})");
+  const auto spec = ScenarioSpec::from_json(doc);
+  EXPECT_EQ(spec.trials, 1000u);
+  EXPECT_EQ(spec.seed, 9007199254740992u);
+  EXPECT_EQ(spec.optimizer.max_count, 64);
+
+  // Plan documents share the check.
+  EXPECT_THROW(core::plan_from_json(util::Json::parse(
+                   R"({"tau0":60,"levels":[1e20],"counts":[]})")),
+               std::invalid_argument);
 }
 
 TEST(ScenarioSpec, LegacyDistributionSectionStillParses) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/json.h"
 
 namespace mlck::util {
@@ -117,6 +119,12 @@ TEST(Json, DumpNumbers) {
   // Full precision survives a round trip.
   const double value = 1.9221704227164327;
   EXPECT_DOUBLE_EQ(Json::parse(Json(value).dump()).as_number(), value);
+  // JSON has no inf/nan literal: the document must stay parseable.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Json(Json::Array{Json(inf), Json(-inf),
+                             Json(std::numeric_limits<double>::quiet_NaN())})
+                .dump(),
+            "[null,null,null]");
 }
 
 TEST(Json, DumpEscapesStrings) {

@@ -1,9 +1,10 @@
 // Randomized property tests for the optimizer's two load-bearing search
 // invariants, across random systems, ladder sizes, level subsets, and
-// lane/prune configurations (tests/prop_support.h seed discipline):
+// both sweeps — per-plan and staged (tests/prop_support.h seed
+// discipline):
 //
 //   1. Feasibility of the winner: whatever path selected it (coarse
-//      sweep, lane-batched pruned sweep, refinement), the returned plan
+//      sweep, staged pruned sweep, refinement), the returned plan
 //      satisfies tau0 * prod(N_j + 1) <= T_B. The refinement pass used
 //      to violate this for models that stay finite past the bound.
 //
@@ -122,8 +123,8 @@ TEST(OptimizerProp, WinnerFeasibleAndLatticeAccountedAcrossConfigs) {
     check_result(generic, sys, lattice, trial);
     EXPECT_EQ(generic.pruned_bound, 0u) << "trial " << trial;
 
-    // The staged kernel path in both configurations: exact mirror of
-    // the generic sweep, then the lane-batched pruned default.
+    // The staged kernel path (lane-batched and pruned): the generic
+    // winner bit for bit, over the same exactly-accounted lattice.
     const DauweOptions model_opt;
     std::vector<std::unique_ptr<const DauweKernel>> kernels;
     const auto factory =
@@ -132,19 +133,12 @@ TEST(OptimizerProp, WinnerFeasibleAndLatticeAccountedAcrossConfigs) {
           std::make_unique<const DauweKernel>(sys, levels, model_opt));
       return *kernels.back();
     };
-    opts.lane_batch = false;
-    opts.prune = false;
-    const auto exact = optimize_intervals_staged(factory, sys, opts);
-    check_result(exact, sys, lattice, trial);
-    EXPECT_EQ(exact.pruned_bound, 0u) << "trial " << trial;
-
-    opts.lane_batch = true;
-    opts.prune = true;
     const auto pruned = optimize_intervals_staged(factory, sys, opts);
     check_result(pruned, sys, lattice, trial);
-    EXPECT_EQ(pruned.plan.tau0, exact.plan.tau0) << "trial " << trial;
-    EXPECT_EQ(pruned.plan.counts, exact.plan.counts) << "trial " << trial;
-    EXPECT_EQ(pruned.expected_time, exact.expected_time)
+    EXPECT_EQ(pruned.plan.tau0, generic.plan.tau0) << "trial " << trial;
+    EXPECT_EQ(pruned.plan.levels, generic.plan.levels) << "trial " << trial;
+    EXPECT_EQ(pruned.plan.counts, generic.plan.counts) << "trial " << trial;
+    EXPECT_EQ(pruned.expected_time, generic.expected_time)
         << "trial " << trial;
     bound_cuts += pruned.pruned_bound;
   }

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "app/commands.h"
@@ -151,6 +152,64 @@ TEST(ServeE2E, ConcurrentClientsMatchDirectEvaluationByteForByte) {
             requests.size());  // dups + warm pass never recompute
   EXPECT_LE(registry.counter("serve.jobs_executed").value(),
             requests.size());
+  server.stop();
+}
+
+TEST(ServeE2E, InfiniteExpectedTimeAnswersParseAndSurviveACacheHit) {
+  // A single-level plan on D9 with tau0 far above the MTBF has an
+  // infinite expected time. Its answer must still be JSON, and the
+  // second (cache-hit) request re-parses the cached bytes — that used to
+  // throw outside any handler and terminate the daemon.
+  serve::ServerOptions options;
+  options.socket_path = test_socket("inf");
+  options.threads = 1;
+  serve::Server server(options);
+  const std::string request =
+      "{\"op\":\"predict\",\"system\":\"D9\","
+      "\"plan\":{\"tau0\":33,\"levels\":[0],\"counts\":[]}}";
+  serve::Client client(options.socket_path);
+  const std::string first = client.call_raw(request);
+  const std::string second = client.call_raw(request);
+  for (const std::string& answer : {first, second}) {
+    SCOPED_TRACE(answer);
+    Json doc;
+    ASSERT_NO_THROW(doc = Json::parse(answer));
+    EXPECT_TRUE(doc.at("ok").as_bool());
+  }
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first, direct_response(request));
+  const Json pong = Json::parse(client.call_raw("{\"op\":\"ping\"}"));
+  EXPECT_TRUE(pong.at("ok").as_bool());
+  server.stop();
+}
+
+TEST(ServeE2E, OutOfRangeIntegerFieldsAreBadRequests) {
+  serve::ServerOptions options;
+  options.socket_path = test_socket("int");
+  options.threads = 1;
+  serve::Server server(options);
+  serve::Client client(options.socket_path);
+  const std::pair<const char*, std::string> cases[] = {
+      {"coarse_tau_points",
+       "{\"op\":\"optimize\",\"system\":\"M\","
+       "\"optimizer\":{\"coarse_tau_points\":1e300}}"},
+      {"levels",
+       "{\"op\":\"predict\",\"system\":\"M\","
+       "\"plan\":{\"tau0\":60,\"levels\":[1e20],\"counts\":[]}}"},
+      {"trials",
+       "{\"op\":\"scenario\",\"spec\":{\"system\":\"M\","
+       "\"trials\":-1}}"},
+  };
+  for (const auto& [key, request] : cases) {
+    SCOPED_TRACE(request);
+    const Json answer = Json::parse(client.call_raw(request));
+    EXPECT_FALSE(answer.at("ok").as_bool());
+    EXPECT_EQ(answer.at("error").at("code").as_string(), "bad_request");
+    EXPECT_NE(answer.at("error").at("message").as_string().find(key),
+              std::string::npos);
+  }
+  const Json pong = Json::parse(client.call_raw("{\"op\":\"ping\"}"));
+  EXPECT_TRUE(pong.at("ok").as_bool());
   server.stop();
 }
 

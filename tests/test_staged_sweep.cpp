@@ -15,6 +15,7 @@
 #include "core/optimizer.h"
 #include "prop_support.h"
 #include "systems/system_config.h"
+#include "util/thread_pool.h"
 
 namespace mlck::core {
 namespace {
@@ -139,99 +140,100 @@ TEST(StagedSweep, CursorBitMatchesPerPlanPathOnRandomSystems) {
   EXPECT_GT(infeasible, 100);
 }
 
+/// Coarse lattice the accounting identity must tile: tau points x
+/// ladder^dims, summed over the level subsets the default search visits.
+std::size_t lattice_size(const systems::SystemConfig& sys,
+                         const OptimizerOptions& opts) {
+  const std::size_t rungs = count_ladder(opts.max_count).size();
+  std::size_t lattice = 0;
+  for (int dims = 0; dims < sys.levels(); ++dims) {
+    std::size_t leaves = 1;
+    for (int d = 0; d < dims; ++d) leaves *= rungs;
+    lattice += static_cast<std::size_t>(opts.coarse_tau_points) * leaves;
+  }
+  return lattice;
+}
+
+/// One random staged-vs-generic comparison: the pruned staged sweep
+/// must return the generic DauweModel search's winner bit for bit, and
+/// both must tile the coarse lattice exactly. Returns the staged run's
+/// bound cuts.
+std::size_t check_staged_matches_generic(std::mt19937_64& rng,
+                                         const OptimizerOptions& opts,
+                                         util::ThreadPool* pool, int trial) {
+  const auto sys = random_system(rng);
+  const DauweOptions model_opt = random_options(rng);
+  const DauweModel model(model_opt);
+
+  std::vector<std::unique_ptr<const DauweKernel>> kernels;
+  const auto factory =
+      [&](const std::vector<int>& levels) -> const DauweKernel& {
+    kernels.push_back(
+        std::make_unique<const DauweKernel>(sys, levels, model_opt));
+    return *kernels.back();
+  };
+
+  const auto generic = optimize_intervals(model, sys, opts);
+  const auto staged = optimize_intervals_staged(factory, sys, opts, pool);
+  EXPECT_EQ(generic.plan.tau0, staged.plan.tau0) << "trial " << trial;
+  EXPECT_EQ(generic.plan.levels, staged.plan.levels) << "trial " << trial;
+  EXPECT_EQ(generic.plan.counts, staged.plan.counts) << "trial " << trial;
+  EXPECT_EQ(generic.expected_time, staged.expected_time)
+      << "trial " << trial;
+  EXPECT_EQ(generic.efficiency, staged.efficiency) << "trial " << trial;
+  EXPECT_LE(staged.evaluations, generic.evaluations) << "trial " << trial;
+
+  const std::size_t lattice = lattice_size(sys, opts);
+  EXPECT_EQ(generic.coarse_evaluations + generic.pruned_feasibility,
+            lattice)
+      << "trial " << trial;
+  EXPECT_EQ(generic.pruned_bound, 0u) << "trial " << trial;
+  EXPECT_EQ(staged.coarse_evaluations + staged.pruned_feasibility +
+                staged.pruned_bound,
+            lattice)
+      << "trial " << trial;
+  return staged.pruned_bound;
+}
+
+OptimizerOptions shrunk_grid() {
+  OptimizerOptions opts;  // exactness is per-plan, not scale
+  opts.coarse_tau_points = 16;
+  opts.max_count = 12;
+  opts.refine_rounds = 4;
+  return opts;
+}
+
 TEST(StagedSweep, StagedOptimizeBitMatchesGenericOnRandomSystems) {
+  // The staged sweep (8-lane batching + admissible subtree pruning)
+  // gives up sweep-order identity with the per-plan search but NOT
+  // winner identity: every leaf is the per-plan value, and the
+  // incumbent cut is strict, so every minimum-achieving leaf survives
+  // and the tie-broken winner is the same bit for bit. Evaluation
+  // counts shrink instead, and the difference is exactly accounted by
+  // the two prune counters.
   const std::uint64_t seed = testprop::suite_seed(kSeed ^ 0x5747454Eu);
   SCOPED_TRACE(testprop::repro(
       "StagedSweep.StagedOptimizeBitMatchesGenericOnRandomSystems", seed));
   std::mt19937_64 rng(seed);
-  OptimizerOptions opts;  // shrunk grid: exactness is per-plan, not scale
-  opts.coarse_tau_points = 16;
-  opts.max_count = 12;
-  opts.refine_rounds = 4;
-  // Structural identity (same leaves in the same order, equal evaluation
-  // counts) holds for the plain staged cursor; the lane-batched pruned
-  // sweep is covered by WinnerSurvivesLaneBatchingAndPruning below.
-  opts.lane_batch = false;
-  opts.prune = false;
+  const OptimizerOptions opts = shrunk_grid();
   for (int trial = 0; trial < 12; ++trial) {
-    const auto sys = random_system(rng);
-    const DauweOptions model_opt = random_options(rng);
-    const DauweModel model(model_opt);
-
-    std::vector<std::unique_ptr<const DauweKernel>> kernels;
-    const auto factory =
-        [&](const std::vector<int>& levels) -> const DauweKernel& {
-      kernels.push_back(
-          std::make_unique<const DauweKernel>(sys, levels, model_opt));
-      return *kernels.back();
-    };
-
-    const auto generic = optimize_intervals(model, sys, opts);
-    const auto staged = optimize_intervals_staged(factory, sys, opts);
-    EXPECT_EQ(generic.plan.tau0, staged.plan.tau0) << "trial " << trial;
-    EXPECT_EQ(generic.plan.levels, staged.plan.levels) << "trial " << trial;
-    EXPECT_EQ(generic.plan.counts, staged.plan.counts) << "trial " << trial;
-    EXPECT_EQ(generic.expected_time, staged.expected_time)
-        << "trial " << trial;
-    EXPECT_EQ(generic.efficiency, staged.efficiency) << "trial " << trial;
-    EXPECT_EQ(generic.evaluations, staged.evaluations) << "trial " << trial;
+    check_staged_matches_generic(rng, opts, nullptr, trial);
   }
 }
 
 TEST(StagedSweep, WinnerSurvivesLaneBatchingAndPruning) {
-  // The default staged path (8-lane batching + admissible subtree
-  // pruning) gives up sweep-order identity but NOT winner identity: the
-  // incumbent cut is strict, so every minimum-achieving leaf survives
-  // and the tie-broken winner is the same bit for bit. Evaluation counts
-  // shrink instead, and the difference must be exactly accounted by the
-  // two prune counters.
+  // Same contract under a thread pool, where the shared per-subset
+  // incumbent tightens in a scheduling-dependent order: the cuts vary,
+  // the winner and the lattice accounting do not.
   const std::uint64_t seed = testprop::suite_seed(kSeed ^ 0x4C414E45u);
   SCOPED_TRACE(testprop::repro(
       "StagedSweep.WinnerSurvivesLaneBatchingAndPruning", seed));
   std::mt19937_64 rng(seed);
-  OptimizerOptions exact;
-  exact.coarse_tau_points = 16;
-  exact.max_count = 12;
-  exact.refine_rounds = 4;
-  exact.lane_batch = false;
-  exact.prune = false;
-  OptimizerOptions pruned = exact;
-  pruned.lane_batch = true;
-  pruned.prune = true;
-
-  const std::size_t rungs = count_ladder(exact.max_count).size();
+  const OptimizerOptions opts = shrunk_grid();
+  util::ThreadPool pool(3);
   std::size_t bound_cuts = 0;
   for (int trial = 0; trial < 12; ++trial) {
-    const auto sys = random_system(rng);
-    const DauweOptions model_opt = random_options(rng);
-
-    std::vector<std::unique_ptr<const DauweKernel>> kernels;
-    const auto factory =
-        [&](const std::vector<int>& levels) -> const DauweKernel& {
-      kernels.push_back(
-          std::make_unique<const DauweKernel>(sys, levels, model_opt));
-      return *kernels.back();
-    };
-
-    const auto a = optimize_intervals_staged(factory, sys, exact);
-    const auto b = optimize_intervals_staged(factory, sys, pruned);
-    EXPECT_EQ(a.plan.tau0, b.plan.tau0) << "trial " << trial;
-    EXPECT_EQ(a.plan.levels, b.plan.levels) << "trial " << trial;
-    EXPECT_EQ(a.plan.counts, b.plan.counts) << "trial " << trial;
-    EXPECT_EQ(a.expected_time, b.expected_time) << "trial " << trial;
-    EXPECT_EQ(a.efficiency, b.efficiency) << "trial " << trial;
-    EXPECT_LE(b.evaluations, a.evaluations) << "trial " << trial;
-
-    std::size_t lattice = 0;
-    for (int dims = 0; dims < sys.levels(); ++dims) {
-      std::size_t leaves = 1;
-      for (int d = 0; d < dims; ++d) leaves *= rungs;
-      lattice += static_cast<std::size_t>(exact.coarse_tau_points) * leaves;
-    }
-    EXPECT_EQ(b.coarse_evaluations + b.pruned_feasibility + b.pruned_bound,
-              lattice)
-        << "trial " << trial;
-    bound_cuts += b.pruned_bound;
+    bound_cuts += check_staged_matches_generic(rng, opts, &pool, trial);
   }
   // The bound must actually fire somewhere, or this test is vacuous.
   EXPECT_GT(bound_cuts, 0u);
