@@ -86,6 +86,20 @@ void BM_MoodyEvalFourLevel(benchmark::State& state) {
 }
 BENCHMARK(BM_MoodyEvalFourLevel);
 
+// The path the reproduction actually pays for: Moody et al.'s full
+// serial interval search on system B (one per-subset kernel, one cost
+// function copy per tau0 slice, the bootstrap prefix memo). Compare with
+// BM_MoodyEvalFourLevel times the search's evaluation count for the
+// per-search win of building the kernel once.
+void BM_MoodySelectB(benchmark::State& state) {
+  const auto sys = mlck::systems::table1_system("B");
+  const mlck::models::MoodyTechnique technique;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(technique.select_plan(sys, nullptr));
+  }
+}
+BENCHMARK(BM_MoodySelectB)->Unit(benchmark::kMillisecond);
+
 void BM_OptimizeTwoLevelSystem(benchmark::State& state) {
   const auto sys = mlck::systems::table1_system("D5");
   const DauweModel model;

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "math/exponential.h"
 #include "math/retry.h"
@@ -19,6 +21,13 @@ DauweKernel::DauweKernel(const systems::SystemConfig& system,
                          const DauweOptions& options,
                          std::shared_ptr<const math::FailureLaw> law)
     : base_time_(system.base_time), options_(options) {
+  if (levels.empty() ||
+      levels.size() > static_cast<std::size_t>(systems::kMaxLevels)) {
+    throw std::invalid_argument(
+        "DauweKernel: level subset size must be 1.." +
+        std::to_string(systems::kMaxLevels) + " (got " +
+        std::to_string(levels.size()) + ")");
+  }
   // Null or explicit-exponential law selects the closed-form fast path:
   // no primitive is ever built and every term below computes through the
   // exact same math/exponential.h calls as the law-less kernel, so the
@@ -122,7 +131,7 @@ void DauweKernel::Cursor::enter(int k, double tau) noexcept {
   // Overwriting the stage that carried a stale dead marker revives the
   // prefix (ancestors are live by construction: push_stage never enters
   // below a dead stage).
-  if (dead_from_ >= k) dead_from_ = kDauweMaxLevels + 1;
+  if (dead_from_ >= k) dead_from_ = systems::kMaxLevels + 1;
   const DauweLevelTerms& lvl = kernel_->level_[static_cast<std::size_t>(k)];
   double gamma;
   double e_tau;
@@ -138,7 +147,7 @@ void DauweKernel::Cursor::enter(int k, double tau) noexcept {
 }
 
 void DauweKernel::Cursor::begin(double tau0) noexcept {
-  dead_from_ = kDauweMaxLevels + 1;
+  dead_from_ = systems::kMaxLevels + 1;
   enter(0, tau0);
 }
 
@@ -181,7 +190,7 @@ double DauweKernel::Cursor::finish_expected_time(
 double DauweKernel::recursion(double tau0, std::span<const int> counts,
                               DauweStageTerms* stages) const noexcept {
   const int K = static_cast<int>(level_.size());
-  assert(K >= 1 && K <= kDauweMaxLevels);
+  assert(K >= 1 && K <= systems::kMaxLevels);
   assert(static_cast<int>(counts.size()) == K - 1);
 
   // One cursor driven straight to the leaf: the per-plan path and the
@@ -220,7 +229,7 @@ double DauweKernel::expected_time(double tau0,
 Prediction DauweKernel::predict(const CheckpointPlan& plan) const {
   assert(plan.levels.size() == level_.size());
   const int K = plan.used_levels();
-  std::array<DauweStageTerms, kDauweMaxLevels> stages{};
+  std::array<DauweStageTerms, systems::kMaxLevels> stages{};
   const double before_scratch =
       recursion(plan.tau0, plan.counts, stages.data());
 

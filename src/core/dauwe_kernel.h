@@ -14,10 +14,6 @@
 
 namespace mlck::core {
 
-/// Hard cap on checkpoint hierarchy depth accepted by the recursion; keeps
-/// the per-evaluation stage scratch on the stack.
-inline constexpr int kDauweMaxLevels = 16;
-
 /// Everything the Dauwe recursion produces for one used level, per
 /// enclosing tau_{k+1} period. Exposed so predict() can total the
 /// per-event breakdown.
@@ -70,7 +66,8 @@ class DauweKernel {
   DauweKernel() = default;
 
   /// Precomputes the invariants for plans over @p levels (ascending,
-  /// unique, valid system level indices, size 1..kDauweMaxLevels). When
+  /// unique, valid system level indices, size 1..systems::kMaxLevels;
+  /// other sizes throw std::invalid_argument). When
   /// @p law names a non-exponential family, every per-level retry /
   /// truncated-mean term is served by that family's primitives at the
   /// corresponding effective rate; a null or exponential @p law selects
@@ -154,12 +151,12 @@ class DauweKernel {
     void enter(int k, double tau) noexcept;
 
     const DauweKernel* kernel_;
-    std::array<double, kDauweMaxLevels> tau_;      ///< tau_k entering stage k
-    std::array<double, kDauweMaxLevels> gamma_;    ///< gamma_k (Eqn. 5)
-    std::array<double, kDauweMaxLevels> gamma_e_;  ///< gamma_k * E(tau_k)
+    std::array<double, systems::kMaxLevels> tau_;  ///< tau_k entering stage k
+    std::array<double, systems::kMaxLevels> gamma_;    ///< gamma_k (Eqn. 5)
+    std::array<double, systems::kMaxLevels> gamma_e_;  ///< gamma_k E(tau_k)
     /// Shallowest stage whose entering tau is non-finite (its whole
-    /// subtree evaluates to +inf); kDauweMaxLevels + 1 when clean.
-    int dead_from_ = kDauweMaxLevels + 1;
+    /// subtree evaluates to +inf); systems::kMaxLevels + 1 when clean.
+    int dead_from_ = systems::kMaxLevels + 1;
   };
 
   /// Fresh cursor; call begin() before pushing stages.

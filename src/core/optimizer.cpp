@@ -53,26 +53,27 @@ std::vector<double> log_grid(double lo, double hi, int points) {
   return out;
 }
 
-/// Per-plan evaluator: one shared thread-safe cost callable per subset;
-/// each sweep slice assembles candidate plans and invokes it at the
-/// leaves. This is the path for arbitrary ExecutionTimeModels and the
+/// Per-plan evaluator: one cost callable per subset, copied into each
+/// sweep slice, which assembles candidate plans and invokes its copy at
+/// the leaves (so a stateful cost function, e.g. one memoizing the
+/// previous plan's prefix, is only ever called from one thread at a
+/// time). This is the path for arbitrary ExecutionTimeModels and the
 /// reference the staged sweep is tested against.
 template <typename CostFn>
 struct CostEvaluator {
-  CostFn cost;             ///< shared across slices; must be thread-safe
+  CostFn cost;  ///< refinement's copy; each slice takes its own
   std::vector<int> levels;
 
   struct Slice {
-    const CostFn* cost;
+    CostFn cost;
     CheckpointPlan plan;
     void begin(double tau0) { plan.tau0 = tau0; }
     void set_count(std::size_t dim, int n) { plan.counts[dim] = n; }
-    double leaf(double /*pattern*/) { return (*cost)(plan); }
+    double leaf(double /*pattern*/) { return cost(plan); }
   };
 
   Slice slice() const {
-    Slice s;
-    s.cost = &cost;
+    Slice s{cost, {}};
     s.plan.levels = levels;
     s.plan.counts.assign(levels.size() - 1, 0);
     return s;
@@ -201,9 +202,9 @@ struct Slot {
 struct BoundTerms {
   /// R_k of the level at stack index k (restart cost behind the
   /// gamma_k R_k term).
-  std::array<double, kDauweMaxLevels> restart_cost{};
+  std::array<double, systems::kMaxLevels> restart_cost{};
   /// 0.5 * sum of lambda_j over exponential levels deeper than k.
-  std::array<double, kDauweMaxLevels> tail_half{};
+  std::array<double, systems::kMaxLevels> tail_half{};
 };
 
 BoundTerms bound_terms(const DauweKernel& kernel) {

@@ -108,8 +108,13 @@ OptimizationResult optimize_intervals(const ExecutionTimeModel& model,
 
 /// Expected-time cost of one candidate plan. The plan's level subset is
 /// fixed by the factory call that produced the function; tau0 and counts
-/// vary per call. Must be thread-safe: the coarse sweep invokes it
-/// concurrently from every tau0 slice.
+/// vary per call. Copied once per slice; each copy is called from one
+/// thread at a time: every (subset, tau0) slice of the coarse sweep calls
+/// its own copy, walking the count lattice in lexicographic order, and
+/// refinement calls the factory's original serially. A cost function may
+/// therefore keep mutable per-copy state (e.g. a memo of the previous
+/// plan's prefix) without locks, as long as its value depends only on
+/// the plan.
 using PlanCostFn = std::function<double(const CheckpointPlan& plan)>;
 
 /// Called once per candidate level subset before its sweep begins; the

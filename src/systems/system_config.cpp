@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace mlck::systems {
@@ -19,6 +20,11 @@ void SystemConfig::validate() const {
   }
   const auto n = severity_probability.size();
   if (n == 0) throw std::invalid_argument(name + ": no checkpoint levels");
+  if (n > static_cast<std::size_t>(kMaxLevels)) {
+    throw std::invalid_argument(name + ": has " + std::to_string(n) +
+                                " checkpoint levels, more than kMaxLevels (" +
+                                std::to_string(kMaxLevels) + ")");
+  }
   if (checkpoint_cost.size() != n || restart_cost.size() != n) {
     throw std::invalid_argument(name + ": per-level vectors disagree on L");
   }

@@ -5,6 +5,11 @@
 
 namespace mlck::systems {
 
+/// Deepest checkpoint hierarchy the models accept: the recursions keep
+/// their per-level stage state in fixed arrays of this size on the stack,
+/// and SystemConfig::validate() rejects deeper systems.
+inline constexpr int kMaxLevels = 16;
+
 /// Description of an HPC platform + application pair as used throughout
 /// the paper: a multilevel checkpoint hierarchy with per-severity failure
 /// rates, per-level checkpoint/restart costs, and the application's
@@ -59,8 +64,8 @@ struct SystemConfig {
   double lambda_cumulative(int level) const noexcept;
 
   /// Throws std::invalid_argument when the configuration is malformed
-  /// (size mismatches, non-positive MTBF/base time, negative costs,
-  /// severity probabilities not summing to ~1).
+  /// (size mismatches, more than kMaxLevels levels, non-positive MTBF/base
+  /// time, negative costs, severity probabilities not summing to ~1).
   void validate() const;
 
   /// Convenience constructor mirroring a Table I row: checkpoint and

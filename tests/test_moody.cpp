@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "core/dauwe_model.h"
 #include "core/effective.h"
 #include "math/exponential.h"
 #include "models/moody.h"
 #include "systems/scaling.h"
+#include "systems/system_config.h"
 #include "systems/test_systems.h"
 
 namespace mlck::models {
@@ -101,6 +104,26 @@ TEST(MoodyModel, MorePessimisticThanDauweOnHarshSystems) {
               dauwe.expected_time(sys, plan) * 0.98)
         << name;
   }
+}
+
+TEST(MoodyModel, DeeperThanMaxLevelsThrowsInsteadOfOverrunning) {
+  // The per-level stage state lives in systems::kMaxLevels-slot arrays.
+  // SystemConfig::validate() rejects deeper systems, but the models can
+  // be handed an unvalidated one directly: both recursions must refuse
+  // it rather than write past their arrays.
+  const int levels = systems::kMaxLevels + 1;
+  systems::SystemConfig sys;
+  sys.name = "L17";
+  sys.mtbf = 100.0;
+  sys.base_time = 1000.0;
+  sys.severity_probability.assign(std::size_t(levels), 1.0 / levels);
+  sys.checkpoint_cost.assign(std::size_t(levels), 1.0);
+  sys.restart_cost = sys.checkpoint_cost;
+  const auto plan = CheckpointPlan::full_hierarchy(
+      2.0, std::vector<int>(std::size_t(levels - 1), 1));
+  EXPECT_THROW(MoodyModel().expected_time(sys, plan), std::invalid_argument);
+  EXPECT_THROW(core::DauweModel().expected_time(sys, plan),
+               std::invalid_argument);
 }
 
 TEST(MoodyTechnique, AlwaysKeepsEveryLevel) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/dauwe_model.h"
 #include "core/optimizer.h"
@@ -11,6 +16,7 @@
 #include "models/moody.h"
 #include "systems/scaling.h"
 #include "systems/test_systems.h"
+#include "util/thread_pool.h"
 
 namespace mlck::core {
 namespace {
@@ -187,6 +193,105 @@ TEST(Optimizer, FactoryIsCalledOncePerLevelSubset) {
   EXPECT_EQ(subsets.size(), 4u);
   for (std::size_t i = 1; i < subsets.size(); ++i) {
     EXPECT_NE(subsets[i], subsets[i - 1]);
+  }
+}
+
+/// Shared record of a stateful cost function's calls: which object
+/// (copy) made each call and at which tau0.
+struct CallLog {
+  std::mutex mu;
+  int next_id = 0;
+  std::map<int, std::vector<double>> taus_by_copy;
+};
+
+/// A PlanCostFn with per-copy mutable state and no locking of its own:
+/// a copy registers under a fresh id on its first call and counts its
+/// calls in a plain member. Copying yields a fresh, uncalled object, so
+/// every object the optimizer calls shows up as its own entry.
+class CountingCost {
+ public:
+  CountingCost(const systems::SystemConfig& sys, std::shared_ptr<CallLog> log)
+      : sys_(&sys), log_(std::move(log)) {}
+  CountingCost(const CountingCost& other)
+      : sys_(other.sys_), log_(other.log_) {}
+
+  double operator()(const CheckpointPlan& plan) {
+    ++calls_;
+    {
+      std::lock_guard<std::mutex> lock(log_->mu);
+      if (id_ < 0) id_ = log_->next_id++;
+      log_->taus_by_copy[id_].push_back(plan.tau0);
+      EXPECT_EQ(log_->taus_by_copy[id_].size(), calls_)
+          << "copy " << id_ << " was called concurrently";
+    }
+    return model_.expected_time(*sys_, plan);
+  }
+
+ private:
+  const systems::SystemConfig* sys_;
+  std::shared_ptr<CallLog> log_;
+  DauweModel model_;
+  int id_ = -1;
+  std::size_t calls_ = 0;
+};
+
+TEST(Optimizer, EachSliceCallsItsOwnCostFunctionCopy) {
+  // The PlanCostFn contract: copied once per (subset, tau0) slice, each
+  // copy called from one thread at a time. With refinement off, every
+  // evaluation is a coarse-sweep leaf, so the objects called must be
+  // exactly one per slice, each seeing a single tau0 — serially and
+  // under a 4-thread pool, with results identical to the model overload.
+  const auto sys = systems::table1_system("B");  // 4 levels, 4 subsets
+  OptimizerOptions opts;
+  opts.coarse_tau_points = 12;
+  opts.max_count = 12;
+  opts.refine_rounds = 0;
+  const DauweModel model;
+  const auto direct = optimize_intervals(model, sys, opts);
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "4-thread pool");
+    auto log = std::make_shared<CallLog>();
+    const SubsetEvaluatorFactory factory =
+        [&](const std::vector<int>&) -> PlanCostFn {
+      return CountingCost(sys, log);
+    };
+    const auto hooked = optimize_intervals_with(factory, sys, opts, p);
+    EXPECT_EQ(direct.plan.tau0, hooked.plan.tau0);
+    EXPECT_EQ(direct.plan.counts, hooked.plan.counts);
+    EXPECT_EQ(direct.plan.levels, hooked.plan.levels);
+    EXPECT_EQ(direct.expected_time, hooked.expected_time);
+    EXPECT_EQ(direct.evaluations, hooked.evaluations);
+    ASSERT_EQ(hooked.evaluations, hooked.coarse_evaluations);
+
+    EXPECT_EQ(log->taus_by_copy.size(),
+              4u * static_cast<std::size_t>(opts.coarse_tau_points));
+    std::size_t calls = 0;
+    for (const auto& [id, taus] : log->taus_by_copy) {
+      calls += taus.size();
+      for (const double tau : taus) {
+        EXPECT_EQ(tau, taus.front()) << "copy " << id << " spans slices";
+      }
+    }
+    EXPECT_EQ(calls, hooked.evaluations);
+  }
+
+  // Refinement runs serially on the factory's original, after the sweep.
+  auto log = std::make_shared<CallLog>();
+  const SubsetEvaluatorFactory factory =
+      [&](const std::vector<int>&) -> PlanCostFn {
+    return CountingCost(sys, log);
+  };
+  OptimizerOptions refined = opts;
+  refined.refine_rounds = 8;
+  const auto serial = optimize_intervals_with(factory, sys, refined);
+  const auto pooled = optimize_intervals_with(factory, sys, refined, &pool);
+  const auto reference = optimize_intervals(model, sys, refined);
+  for (const auto* r : {&serial, &pooled}) {
+    EXPECT_EQ(reference.plan.tau0, r->plan.tau0);
+    EXPECT_EQ(reference.plan.counts, r->plan.counts);
+    EXPECT_EQ(reference.expected_time, r->expected_time);
+    EXPECT_EQ(reference.evaluations, r->evaluations);
   }
 }
 

@@ -22,6 +22,7 @@
 #include "serve/client.h"
 #include "serve/request.h"
 #include "serve/server.h"
+#include "systems/system_config.h"
 #include "util/json.h"
 #include "util/socket.h"
 
@@ -206,6 +207,49 @@ TEST(ServeE2E, OutOfRangeIntegerFieldsAreBadRequests) {
     EXPECT_FALSE(answer.at("ok").as_bool());
     EXPECT_EQ(answer.at("error").at("code").as_string(), "bad_request");
     EXPECT_NE(answer.at("error").at("message").as_string().find(key),
+              std::string::npos);
+  }
+  const Json pong = Json::parse(client.call_raw("{\"op\":\"ping\"}"));
+  EXPECT_TRUE(pong.at("ok").as_bool());
+  server.stop();
+}
+
+TEST(ServeE2E, TooDeepInlineSystemIsABadRequest) {
+  // An inline system one level deeper than systems::kMaxLevels used to
+  // reach the models' fixed-size stage arrays and crash the daemon; it
+  // must be refused by name, and the daemon must keep serving.
+  std::string severity;
+  std::string cost;
+  for (int k = 0; k <= systems::kMaxLevels; ++k) {
+    if (k > 0) {
+      severity += ',';
+      cost += ',';
+    }
+    severity += "0.0588235294117647";
+    cost += std::to_string(0.5 + k);
+  }
+  const std::string system =
+      "{\"name\":\"L17\",\"mtbf\":100,\"severity_probability\":[" +
+      severity + "],\"checkpoint_cost\":[" + cost +
+      "],\"base_time\":1000}";
+  serve::ServerOptions options;
+  options.socket_path = test_socket("deep");
+  options.threads = 1;
+  serve::Server server(options);
+  serve::Client client(options.socket_path);
+  const std::string requests[] = {
+      "{\"op\":\"optimize\",\"system\":" + system + "}",
+      "{\"op\":\"predict\",\"system\":" + system +
+          ",\"plan\":{\"tau0\":60,\"levels\":[0],\"counts\":[]}}",
+      "{\"op\":\"scenario\",\"spec\":{\"system\":" + system +
+          ",\"model\":\"moody\",\"trials\":4}}",
+  };
+  for (const std::string& request : requests) {
+    SCOPED_TRACE(request);
+    const Json answer = Json::parse(client.call_raw(request));
+    EXPECT_FALSE(answer.at("ok").as_bool());
+    EXPECT_EQ(answer.at("error").at("code").as_string(), "bad_request");
+    EXPECT_NE(answer.at("error").at("message").as_string().find("kMaxLevels"),
               std::string::npos);
   }
   const Json pong = Json::parse(client.call_raw("{\"op\":\"ping\"}"));

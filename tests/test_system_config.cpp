@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "systems/scaling.h"
 #include "systems/system_config.h"
@@ -52,6 +54,39 @@ TEST(SystemConfig, ValidateRejectsNegativeCosts) {
   SystemConfig cfg = simple_two_level();
   cfg.restart_cost[0] = -1.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+/// An L-level system with uniform severities and rising costs.
+SystemConfig uniform_system(int levels) {
+  std::vector<double> severity(static_cast<std::size_t>(levels),
+                               1.0 / levels);
+  std::vector<double> cost;
+  for (int k = 0; k < levels; ++k) cost.push_back(0.5 + k);
+  return SystemConfig::from_table_row("L" + std::to_string(levels), levels,
+                                      100.0, severity, cost, 1000.0);
+}
+
+TEST(SystemConfig, ValidateAcceptsUpToMaxLevels) {
+  EXPECT_NO_THROW(uniform_system(kMaxLevels));
+}
+
+TEST(SystemConfig, ValidateRejectsMoreThanMaxLevelsByName) {
+  // The model recursions keep per-level stage state in kMaxLevels-slot
+  // arrays; a deeper system must be refused here with a named error,
+  // not reach them (it used to segfault the optimizer).
+  SystemConfig cfg = uniform_system(kMaxLevels);
+  cfg.severity_probability.assign(kMaxLevels + 1, 1.0 / (kMaxLevels + 1));
+  cfg.checkpoint_cost.push_back(20.0);
+  cfg.restart_cost.push_back(20.0);
+  try {
+    cfg.validate();
+    FAIL() << "a " << kMaxLevels + 1 << "-level system was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxLevels"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("17"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SystemConfig, FromTableRowRejectsLevelMismatch) {
