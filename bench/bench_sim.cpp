@@ -19,6 +19,14 @@
 // Table-I systems. The tabulated lane draws different (same-law) samples
 // by design, so it is timed but excluded from the bit gate.
 //
+// Two storm lanes add the Figure 4/6 capped cells B(mtbf=3,pfs=20) and
+// B(mtbf=3,pfs=40) at the full 2000 x T_B cap: about 10^6 failures a
+// trial, almost all failed restarts retried in place (pfs=20) or
+// compute/checkpoint churn (pfs=40). They run a fixed 8 trials (2 under
+// --smoke) serially, are bit-gated like the exponential lane, and report
+// single-thread ns per simulated failure. They stay out of the
+// max_*_speedup headline figures.
+//
 // Writes BENCH_sim.json (deterministic key order via util::Json) so the
 // trials/sec and the bit_identical flag are tracked artifacts. --smoke
 // shrinks trials and the plan-selection grid for CI; --metrics=file.json
@@ -39,6 +47,7 @@
 #include "obs/registry.h"
 #include "sim/reference_simulator.h"
 #include "sim/trial_runner.h"
+#include "systems/scaling.h"
 #include "systems/test_systems.h"
 #include "util/cli.h"
 #include "util/json.h"
@@ -239,6 +248,61 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Storm lanes: serial, so ns per failure is a per-core cost.
+  const std::size_t storm_trials = smoke ? 2 : 8;
+  std::string storm_report;
+  for (const double pfs : {20.0, 40.0}) {
+    const auto sys = mlck::systems::scaled_system_b(3.0, pfs, 1440.0);
+    mlck::bench::progress("bench sim: " + sys.name);
+    mlck::engine::EvaluationEngine engine(sys);
+    const auto plan = engine.optimize(plan_opts, &pool).plan;
+    Lane lane;
+    lane.law = "exponential";
+    const auto ref = mlck::sim::reference::run_trials(
+        sys, plan, storm_trials, seed, sim_options);
+    const auto batch =
+        mlck::sim::run_trials(sys, plan, storm_trials, seed, sim_options);
+    lane.bit_identical = same_stats(ref, batch);
+    const double failures =
+        batch.mean_failures * static_cast<double>(storm_trials);
+    lane.reference_seconds = time_best(repeats, [&] {
+      mlck::sim::reference::run_trials(sys, plan, storm_trials, seed,
+                                       sim_options);
+    });
+    lane.batch_seconds = time_best(repeats, [&] {
+      mlck::sim::run_trials(sys, plan, storm_trials, seed, sim_options);
+    });
+    if (!lane.bit_identical) {
+      all_identical = false;
+      std::cerr << "FATAL: batch engine diverges from reference on "
+                << sys.name << " (storm lane)\n";
+    }
+    const double ref_ns = lane.reference_seconds * 1e9 / failures;
+    const double batch_ns = lane.batch_seconds * 1e9 / failures;
+    storm_report += sys.name + ": " + mlck::util::Table::num(failures, 0) +
+                    " failures, ns per failure reference " +
+                    mlck::util::Table::num(ref_ns, 1) + ", batch " +
+                    mlck::util::Table::num(batch_ns, 1) + "\n";
+    table.add_row({sys.name, lane.law + " storm",
+                   mlck::util::Table::num(lane.reference_seconds, 4),
+                   mlck::util::Table::num(lane.batch_seconds, 4), "-",
+                   mlck::util::Table::num(lane.speedup(), 2) + "x", "-",
+                   lane.bit_identical ? "yes" : "NO"});
+    Json::Object row;
+    row["system"] = sys.name;
+    row["law"] = lane.law;
+    row["storm"] = true;
+    row["trials"] = static_cast<double>(storm_trials);
+    row["failures"] = failures;
+    row["reference_seconds"] = lane.reference_seconds;
+    row["batch_seconds"] = lane.batch_seconds;
+    row["reference_ns_per_failure"] = ref_ns;
+    row["batch_ns_per_failure"] = batch_ns;
+    row["speedup"] = lane.speedup();
+    row["bit_identical"] = lane.bit_identical;
+    systems_json.emplace_back(std::move(row));
+  }
+
   Json::Object doc;
   doc["benchmark"] = "simulation_engine_batch_vs_reference";
   doc["trials"] = trials;
@@ -262,6 +326,7 @@ int main(int argc, char** argv) {
   std::cout << "Simulation benchmark: batch engine vs frozen reference "
                "engine (identical run_trials output, == on every field)\n";
   table.print(std::cout);
+  std::cout << "\nStorm lanes (serial, full cap):\n" << storm_report;
   std::cout << "\nwrote " << out << "\n";
   if (!all_identical) return 1;
   return best_exponential > 1.0 && best_nonexponential > 1.0 ? 0 : 3;

@@ -2,8 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace mlck::sim {
+
+CompiledSchedule::CompiledSchedule(std::vector<int> levels)
+    : levels_(std::move(levels)) {
+  // Used levels are validated ascending, so the last is the deepest.
+  if (!levels_.empty() && levels_.back() >= systems::kMaxLevels) {
+    throw std::invalid_argument(
+        "CompiledSchedule: used levels must lie below kMaxLevels (" +
+        std::to_string(systems::kMaxLevels) + "); got " +
+        std::to_string(levels_.size()) + " levels up to level " +
+        std::to_string(levels_.back()));
+  }
+  for (std::size_t s = 0; s < survivors_.size(); ++s) {
+    for (std::size_t k = 0; k < levels_.size(); ++k) {
+      if (levels_[k] >= static_cast<int>(s)) survivors_[s] |= LevelMask{1} << k;
+    }
+  }
+}
 
 void CompiledSchedule::compile(const Fallback& next) {
   triggers_.clear();
@@ -55,8 +75,7 @@ std::size_t CompiledSchedule::lower_index(double limit) const noexcept {
 CompiledSchedule CompiledSchedule::from_plan(
     const systems::SystemConfig& system, const core::CheckpointPlan& plan) {
   plan.validate(system);
-  CompiledSchedule out;
-  out.levels_ = plan.levels;
+  CompiledSchedule out(plan.levels);
   const double base_time = system.base_time;
   // Same arithmetic the dynamic engine used per query: checkpoints sit at
   // integer multiples of tau0, the pattern decides the level, and no
@@ -82,8 +101,7 @@ CompiledSchedule CompiledSchedule::from_schedule(
     const systems::SystemConfig& system,
     const core::IntervalSchedule& schedule) {
   schedule.validate(system);
-  CompiledSchedule out;
-  out.levels_ = schedule.levels;
+  CompiledSchedule out(schedule.levels);
   const double base_time = system.base_time;
   out.fallback_ = [schedule, base_time](double work) {
     return schedule.next_checkpoint(work, base_time);
@@ -97,8 +115,7 @@ CompiledSchedule CompiledSchedule::from_adaptive(
     const systems::SystemConfig& system,
     const core::AdaptiveSchedule& schedule) {
   schedule.base.validate(system);
-  CompiledSchedule out;
-  out.levels_ = schedule.base.levels;
+  CompiledSchedule out(schedule.base.levels);
   // Callback mode by design: the horizon rule is the designated slow path
   // and keeps the fallback branch exercised by every adaptive test.
   out.fallback_ = [schedule](double work) {

@@ -1,6 +1,9 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -36,12 +39,21 @@ namespace mlck::sim {
 /// mode: their horizon rule is the designated slow path and keeps the
 /// fallback exercised.
 ///
+/// The schedule also carries the runner's checkpoint-validity table: the
+/// simulator keeps one validity bit per used level, so every used level
+/// index must lie below systems::kMaxLevels (the factories throw
+/// std::invalid_argument naming kMaxLevels otherwise).
+///
 /// A CompiledSchedule is immutable after construction and safe to share
 /// across threads; each runner carries its own Cursor.
 class CompiledSchedule {
  public:
   using Fallback =
       std::function<std::optional<core::CheckpointPoint>(double work)>;
+
+  /// One bit per used level: bit k stands for levels()[k].
+  using LevelMask = std::uint32_t;
+  static_assert(systems::kMaxLevels < 32, "LevelMask holds one bit per level");
 
   /// Compilation cap: a schedule emitting more triggers than this for one
   /// run stays in callback mode (bounded memory; such schedules are
@@ -62,6 +74,14 @@ class CompiledSchedule {
 
   /// Ascending, unique system level indices in use.
   const std::vector<int>& levels() const noexcept { return levels_; }
+
+  /// Used levels whose checkpoint storage survives a severity-@p severity
+  /// failure: bit k is set iff levels()[k] >= severity. A failure wipes
+  /// storage below its severity, so this is the AND mask that applies it.
+  LevelMask survivors(int severity) const noexcept {
+    return survivors_[static_cast<std::size_t>(
+        std::clamp(severity, 0, systems::kMaxLevels))];
+  }
 
   /// True when the trigger array is in use (false = callback mode).
   bool compiled() const noexcept { return use_triggers_; }
@@ -130,7 +150,10 @@ class CompiledSchedule {
   Cursor cursor() const noexcept { return Cursor(this); }
 
  private:
-  CompiledSchedule() = default;
+  /// Takes the used levels and precomputes survivors_; throws
+  /// std::invalid_argument naming kMaxLevels when a used level index does
+  /// not fit the per-level bit and slot arrays.
+  explicit CompiledSchedule(std::vector<int> levels);
 
   /// Replays @p next from work 0 into the trigger array; on overflow or a
   /// non-advancing sequence leaves the schedule in callback mode.
@@ -145,6 +168,9 @@ class CompiledSchedule {
 
   std::vector<core::CheckpointPoint> triggers_;
   std::vector<int> levels_;
+  /// survivors_[s] for s in [0, kMaxLevels]; every used level is below
+  /// kMaxLevels, so the last entry is 0 and deeper severities clamp to it.
+  std::array<LevelMask, systems::kMaxLevels + 1> survivors_{};
   Fallback fallback_;
   bool use_triggers_ = false;
   /// Grid period when trigger i sits exactly at (i + 1) * uniform_tau0_

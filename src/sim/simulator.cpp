@@ -1,6 +1,8 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -26,9 +28,11 @@ enum class Cause { kCompute, kCheckpoint, kRestart };
 /// every Monte-Carlo batch — inlines into the segment loop instead of
 /// going through a virtual call. The schedule side is devirtualized the
 /// same way: triggers come from a CompiledSchedule cursor (flat array
-/// lookup) rather than a per-segment std::function. Checkpoint slots for
-/// the common case (<= 8 used levels) live inline in the runner frame, so
-/// a trial allocates nothing.
+/// lookup) rather than a per-segment std::function. Checkpoint storage is
+/// a validity bitmask plus a fixed per-level work array (CompiledSchedule
+/// bounds the used levels by systems::kMaxLevels), so a trial allocates
+/// nothing and a failure's invalidation is one AND with the schedule's
+/// precomputed survivor mask.
 template <class FS>
 class Runner {
  public:
@@ -43,14 +47,7 @@ class Runner {
         opts_(options),
         failures_(failures),
         fast_(fast != nullptr && fast->applicable(options) ? fast : nullptr),
-        cap_(options.max_time_factor * system.base_time) {
-    if (used_ <= kInlineSlots) {
-      ckpt_ = inline_slots_;
-    } else {
-      heap_slots_.resize(used_);
-      ckpt_ = heap_slots_.data();
-    }
-  }
+        cap_(options.max_time_factor * system.base_time) {}
 
   TrialResult run() {
     advance_failure_clock();
@@ -132,12 +129,12 @@ class Runner {
     return !ph.completed && ph.severity < 0;
   }
 
-  struct CheckpointSlot {
-    double work = 0.0;
-    bool valid = false;
-  };
+  using LevelMask = CompiledSchedule::LevelMask;
 
-  static constexpr std::size_t kInlineSlots = 8;
+  /// Used levels 0..h.
+  static LevelMask up_to(int h) noexcept {
+    return (LevelMask{2} << h) - 1;
+  }
 
   int used_count() const noexcept { return static_cast<int>(used_); }
 
@@ -157,17 +154,16 @@ class Runner {
     result_.breakdown.checkpoint_ok = fast_->end_checkpoint_ok(s);
     result_.checkpoints_completed = static_cast<long long>(s) + 1;
     const auto& trig = schedule_.triggers();
-    std::size_t remaining = used_;
-    for (std::size_t j = s + 1; j-- > 0 && remaining > 0;) {
+    const LevelMask all = up_to(used_count() - 1);
+    for (std::size_t j = s + 1; j-- > 0 && valid_ != all;) {
       const int h = trig[j].used_index;
       const double w = fast_->end_work(j);
       for (int k = 0; k <= h; ++k) {
-        CheckpointSlot& slot = ckpt_[static_cast<std::size_t>(k)];
-        if (!slot.valid) {
-          slot = CheckpointSlot{w, true};
-          --remaining;
+        if ((valid_ >> k & 1u) == 0) {
+          slot_work_[static_cast<std::size_t>(k)] = w;
         }
       }
+      valid_ |= up_to(h);
     }
   }
 
@@ -247,8 +243,9 @@ class Runner {
       result_.breakdown.checkpoint_ok += cost;
       ++result_.checkpoints_completed;
       for (int k = 0; k <= h; ++k) {
-        ckpt_[static_cast<std::size_t>(k)] = CheckpointSlot{work_, true};
+        slot_work_[static_cast<std::size_t>(k)] = work_;
       }
+      valid_ |= up_to(h);
       return true;
     }
     result_.breakdown.checkpoint_failed += ph.elapsed;
@@ -258,28 +255,25 @@ class Runner {
 
   /// Severity-s failures wipe checkpoint storage below level s.
   void invalidate_below(int severity) {
-    for (std::size_t k = 0; k < used_; ++k) {
-      if (levels_[k] < severity) ckpt_[k].valid = false;
-    }
+    valid_ &= schedule_.survivors(severity);
+  }
+
+  /// Lowest used level in @p candidates holding a checkpoint.
+  std::optional<int> lowest_valid(LevelMask candidates) const {
+    const LevelMask m = valid_ & candidates;
+    if (m == 0) return std::nullopt;
+    return std::countr_zero(m);
   }
 
   /// Lowest used level >= severity holding a checkpoint.
   std::optional<int> find_restore(int severity) const {
-    for (std::size_t k = 0; k < used_; ++k) {
-      if (levels_[k] >= severity && ckpt_[k].valid) {
-        return static_cast<int>(k);
-      }
-    }
-    return std::nullopt;
+    return lowest_valid(schedule_.survivors(severity));
   }
 
   /// Lowest used level strictly above used-index e holding a checkpoint
   /// (Moody escalation target).
   std::optional<int> find_restore_above(int e) const {
-    for (std::size_t k = static_cast<std::size_t>(e) + 1; k < used_; ++k) {
-      if (ckpt_[k].valid) return static_cast<int>(k);
-    }
-    return std::nullopt;
+    return lowest_valid(~up_to(e));
   }
 
   void add_rework(Cause cause, double lost_work) {
@@ -304,7 +298,7 @@ class Runner {
     std::optional<int> target = find_restore(severity);
     const double attempted = work_ + partial_work;
     const double restore_work =
-        target ? ckpt_[static_cast<std::size_t>(*target)].work : 0.0;
+        target ? slot_work_[static_cast<std::size_t>(*target)] : 0.0;
     add_rework(cause, attempted - restore_work);
     // Roll the committed-work counter back immediately so a trial capped
     // mid-recovery does not count the discarded work as useful *and* as
@@ -316,6 +310,14 @@ class Runner {
 
   /// Runs restart attempts (with retries/escalations per policy) until the
   /// application is back in a runnable state.
+  ///
+  /// A failed restart whose severity is at most retry_max reloads the same
+  /// checkpoint with zero rework, which is almost every event of a restart
+  /// storm (a restart costlier than the MTBF retried a geometric number of
+  /// times). Those retries stay in the inner loop below, where each costs
+  /// little more than its failure draw: the trace events and the
+  /// restart_failed additions are exactly the ones the step-by-step
+  /// handling made, in the same order.
   void perform_recovery(std::optional<int> target) {
     for (;;) {
       if (now_ >= cap_) {
@@ -327,7 +329,7 @@ class Runner {
         // and no checkpoint storage holds data (or we would restore it).
         ++result_.scratch_restarts;
         work_ = 0.0;
-        for (std::size_t k = 0; k < used_; ++k) ckpt_[k].valid = false;
+        valid_ = 0;
         if (opts_.trace != nullptr) {
           opts_.trace->push_back(TraceEvent{
               TraceEvent::Kind::kScratchRestart, now_, now_, -1, true, -1});
@@ -337,7 +339,30 @@ class Runner {
       const int e = *target;
       const int e_level = system_level(e);
       const double cost = sys_.restart_cost[static_cast<std::size_t>(e_level)];
-      const Phase ph = run_phase(cost, TraceEvent::Kind::kRestart, e_level);
+      // The checkpoint being loaded survives any failure of severity <=
+      // its level. Retrying it is the realistic response; Moody's policy
+      // escalates a same-severity failure instead, except at the top used
+      // level, where escalation has nowhere to go.
+      const int retry_max =
+          opts_.restart_policy == RestartPolicy::kRetrySameLevel ||
+                  e == used_count() - 1
+              ? e_level
+              : e_level - 1;
+      // No used level below e holds a checkpoint: e is the lowest valid
+      // level >= the severity that sent us here (or the escalation target
+      // above it). A retried severity (<= e_level) wipes only levels below
+      // e, so retries leave the storage exactly as it is.
+      assert((valid_ & up_to(e)) == (LevelMask{1} << e));
+      Phase ph = run_phase(cost, TraceEvent::Kind::kRestart, e_level);
+      while (ph.severity >= 0 && ph.severity <= retry_max) {
+        result_.breakdown.restart_failed += ph.elapsed;
+        ++result_.restarts_failed;
+        if (now_ >= cap_) {
+          capped_ = true;
+          return;
+        }
+        ph = run_phase(cost, TraceEvent::Kind::kRestart, e_level);
+      }
       if (truncated_by_cap(ph)) {
         // Time attribution only; this was not a failed restart event, so
         // the restarts_failed counter is untouched.
@@ -347,42 +372,31 @@ class Runner {
       if (ph.completed) {
         result_.breakdown.restart_ok += cost;
         ++result_.restarts_completed;
-        work_ = ckpt_[static_cast<std::size_t>(e)].work;
+        work_ = slot_work_[static_cast<std::size_t>(e)];
         annotate_trace_work();
         return;
       }
+
+      // A severity above retry_max: recover from a higher checkpoint.
       result_.breakdown.restart_failed += ph.elapsed;
       ++result_.restarts_failed;
       const int s2 = ph.severity;
       invalidate_below(s2);
-
       std::optional<int> next;
-      if (opts_.restart_policy == RestartPolicy::kRetrySameLevel) {
-        // The checkpoint being loaded survives any failure of severity
-        // <= its level, so the realistic response is to try again.
-        next = (s2 <= e_level) ? std::optional<int>(e) : find_restore(s2);
+      if (opts_.restart_policy == RestartPolicy::kMoodyEscalate &&
+          s2 == e_level) {
+        // Pessimistic escalation. The abandoned checkpoint is presumed
+        // unusable — it must not serve later restores, which would hold
+        // work newer than the rolled-back state.
+        next = find_restore_above(e);
+        if (next) valid_ &= ~(LevelMask{1} << e);
       } else {
-        if (s2 < e_level) {
-          next = e;
-        } else if (s2 == e_level) {
-          // Pessimistic escalation; the top level has nowhere to go and
-          // retries. The abandoned checkpoint is presumed unusable — it
-          // must not serve later restores, which would hold work newer
-          // than the rolled-back state.
-          next = find_restore_above(e);
-          if (next) {
-            ckpt_[static_cast<std::size_t>(e)].valid = false;
-          } else if (e == used_count() - 1) {
-            next = e;
-          }
-        } else {
-          next = find_restore(s2);
-        }
+        next = find_restore(s2);
       }
 
-      const double old_work = ckpt_[static_cast<std::size_t>(e)].work;
+      const double old_work = slot_work_[static_cast<std::size_t>(e)];
       const double new_work =
-          next ? ckpt_[static_cast<std::size_t>(*next)].work : 0.0;
+          next ? slot_work_[static_cast<std::size_t>(*next)] : 0.0;
       add_rework(Cause::kRestart, old_work - new_work);
       work_ = new_work;
       annotate_trace_work();
@@ -411,9 +425,9 @@ class Runner {
   /// opts_.trace is non-null; see annotate_trace_work).
   std::size_t last_trace_index_ = 0;
 
-  CheckpointSlot inline_slots_[kInlineSlots];
-  std::vector<CheckpointSlot> heap_slots_;  ///< only when > kInlineSlots
-  CheckpointSlot* ckpt_;                    ///< per used level
+  LevelMask valid_ = 0;  ///< used levels holding a checkpoint
+  /// Committed work of each used level's checkpoint (read only when valid).
+  std::array<double, systems::kMaxLevels> slot_work_{};
   TrialResult result_;
 };
 

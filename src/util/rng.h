@@ -73,6 +73,12 @@ class Rng {
   /// probabilities @p cdf (non-decreasing, cdf.back() ~= 1). Returns the
   /// smallest index i with u <= cdf[i]. Consumes exactly one uniform.
   ///
+  /// Computed as the number of entries j < n-1 with u > cdf[j]: on a
+  /// non-decreasing table those entries are exactly the prefix before the
+  /// first u <= cdf[i], so the count is that i, found without a
+  /// data-dependent branch per entry (severity draws are random, so a
+  /// first-match scan mispredicts on most of them).
+  ///
   /// The final entry is never compared: a uniform draw that exceeds every
   /// earlier entry lands in the last bucket regardless of whether the
   /// accumulated cdf falls short of 1.0 in the last place (see
@@ -81,10 +87,11 @@ class Rng {
   std::size_t discrete_from_cdf(std::span<const double> cdf) noexcept {
     assert(!cdf.empty());
     const double u = uniform();
-    for (std::size_t i = 0; i + 1 < cdf.size(); ++i) {
-      if (u <= cdf[i]) return i;
+    std::size_t index = 0;
+    for (std::size_t j = 0; j + 1 < cdf.size(); ++j) {
+      index += static_cast<std::size_t>(u > cdf[j]);
     }
-    return cdf.size() - 1;
+    return index;
   }
 
   /// Uniform integer in [0, n). @pre n > 0

@@ -11,12 +11,14 @@
 #include "core/interval_schedule.h"
 #include "core/plan.h"
 #include "math/failure_law.h"
+#include "obs/trace.h"
 #include "prop_support.h"
 #include "sim/compiled_schedule.h"
 #include "sim/fast_forward.h"
 #include "sim/reference_simulator.h"
 #include "sim/simulator.h"
 #include "sim/trial_runner.h"
+#include "systems/scaling.h"
 #include "systems/test_systems.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -312,6 +314,217 @@ TEST(BatchIdentity, CaptureDoesNotPerturbResults) {
   for (const TrialTrace& t : capture.trials) {
     EXPECT_FALSE(t.events.empty());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Restart storms: the Figure 4/6 capped cells (MTBF = 3 min, PFS restarts
+// of 20-40 min), where almost every event is a failed restart retried in
+// place. The runner handles those retries in a tight inner loop; these
+// cases pin it to the reference engine on every loop exit.
+
+/// The storm cells with a cap of 20 x T_B (about 10^4 failures a trial
+/// instead of the figures' ~10^6).
+struct StormCase {
+  systems::SystemConfig system;
+  CheckpointPlan plan;
+  std::string shape;
+};
+
+std::vector<StormCase> storm_cases() {
+  std::vector<StormCase> cases;
+  for (const double pfs : {20.0, 30.0, 40.0}) {
+    const auto sys = systems::scaled_system_b(3.0, pfs, 1440.0);
+    // Full hierarchy shaped like the Dauwe pick for these cells.
+    cases.push_back({sys, CheckpointPlan::full_hierarchy(1.04, {1, 0, 22}),
+                     "full"});
+    // Top two levels only: every non-PFS failure restores from level 2.
+    CheckpointPlan top_two;
+    top_two.tau0 = 1.5;
+    top_two.levels = {2, 3};
+    top_two.counts = {12};
+    cases.push_back({sys, top_two, "top-two"});
+    // More triggers than CompiledSchedule::kMaxTriggers: callback mode.
+    cases.push_back({sys, CheckpointPlan::full_hierarchy(0.005, {1, 0, 22}),
+                     "tiny-tau0"});
+  }
+  return cases;
+}
+
+SimOptions storm_options(RestartPolicy policy) {
+  SimOptions options;
+  options.restart_policy = policy;
+  options.max_time_factor = 20.0;
+  return options;
+}
+
+/// Which exits of the retry-in-place loop a trace exercises, read off
+/// consecutive restart events.
+struct LoopExits {
+  int success = 0;      ///< a retried restart that then completed
+  int capped = 0;       ///< a retry storm truncated by the cap
+  int escalation = 0;   ///< a failed restart recovered elsewhere
+  int moody_top = 0;    ///< Moody's same-severity retry at the top level
+};
+
+void count_exits(const std::vector<TraceEvent>& events, RestartPolicy policy,
+                 LoopExits& exits) {
+  using Kind = TraceEvent::Kind;
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    const TraceEvent& prev = events[i - 1];
+    const TraceEvent& ev = events[i];
+    if (prev.kind != Kind::kRestart || prev.completed ||
+        prev.failure_severity < 0) {
+      continue;
+    }
+    const bool same_level =
+        ev.kind == Kind::kRestart && ev.system_level == prev.system_level;
+    if (!same_level) {
+      ++exits.escalation;
+      continue;
+    }
+    if (ev.completed) ++exits.success;
+    if (ev.truncated_by_cap) ++exits.capped;
+    if (policy == RestartPolicy::kMoodyEscalate &&
+        prev.failure_severity == prev.system_level) {
+      ++exits.moody_top;
+    }
+  }
+}
+
+TEST(StormIdentity, RunTrialsMatchesReferenceSerialAndPooled) {
+  util::ThreadPool pool(4);
+  for (const StormCase& c : storm_cases()) {
+    for (const auto policy :
+         {RestartPolicy::kRetrySameLevel, RestartPolicy::kMoodyEscalate}) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.system.name << " " << c.shape << " policy "
+                   << static_cast<int>(policy));
+      EXPECT_EQ(CompiledSchedule::from_plan(c.system, c.plan).compiled(),
+                c.shape != "tiny-tau0");
+      const SimOptions options = storm_options(policy);
+      const TrialStats ref =
+          reference::run_trials(c.system, c.plan, 8, 20180521, options);
+      ASSERT_EQ(ref.capped_trials, 8u) << "not a storm cell";
+      expect_same_stats(run_trials(c.system, c.plan, 8, 20180521, options),
+                        ref);
+      expect_same_stats(
+          run_trials(c.system, c.plan, 8, 20180521, options, &pool), ref);
+    }
+  }
+}
+
+TEST(StormIdentity, TracedTrialsMatchReferenceEventForEvent) {
+  LoopExits retry_exits;
+  LoopExits moody_exits;
+  for (const StormCase& c : storm_cases()) {
+    for (const auto policy :
+         {RestartPolicy::kRetrySameLevel, RestartPolicy::kMoodyEscalate}) {
+      for (std::uint64_t k = 0; k < 2; ++k) {
+        SCOPED_TRACE(::testing::Message()
+                     << c.system.name << " " << c.shape << " policy "
+                     << static_cast<int>(policy) << " trial " << k);
+        const std::uint64_t trial_seed = util::derive_stream_seed(7, k);
+        std::vector<TraceEvent> batch_events;
+        std::vector<TraceEvent> ref_events;
+        SimOptions batch_options = storm_options(policy);
+        batch_options.trace = &batch_events;
+        SimOptions ref_options = storm_options(policy);
+        ref_options.trace = &ref_events;
+        RandomFailureSource a(c.system, util::Rng(trial_seed));
+        RandomFailureSource b(c.system, util::Rng(trial_seed));
+        const TrialResult batch = simulate(c.system, c.plan, a, batch_options);
+        const TrialResult ref =
+            reference::simulate(c.system, c.plan, b, ref_options);
+        expect_same_result(batch, ref);
+        EXPECT_GT(batch.failures, 5000);
+        ASSERT_EQ(batch_events.size(), ref_events.size());
+        for (std::size_t i = 0; i < batch_events.size(); ++i) {
+          const TraceEvent& x = batch_events[i];
+          const TraceEvent& y = ref_events[i];
+          ASSERT_TRUE(x.kind == y.kind && x.start == y.start &&
+                      x.end == y.end && x.system_level == y.system_level &&
+                      x.completed == y.completed &&
+                      x.failure_severity == y.failure_severity &&
+                      x.truncated_by_cap == y.truncated_by_cap &&
+                      x.work == y.work)
+              << "event " << i << " differs";
+        }
+        const auto report =
+            obs::audit_trial_trace(c.system, batch, batch_events);
+        EXPECT_TRUE(report.ok())
+            << (report.errors.empty() ? "" : report.errors.front());
+        count_exits(batch_events, policy,
+                    policy == RestartPolicy::kRetrySameLevel ? retry_exits
+                                                             : moody_exits);
+      }
+    }
+  }
+  // Every exit of the retry loop is exercised under both policies.
+  for (const LoopExits* exits : {&retry_exits, &moody_exits}) {
+    EXPECT_GT(exits->success, 0);
+    EXPECT_GT(exits->capped, 0);
+    EXPECT_GT(exits->escalation, 0);
+  }
+  EXPECT_GT(moody_exits.moody_top, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Deep hierarchies: the runner keeps one validity bit and one work slot per
+// used level, bounded by systems::kMaxLevels.
+
+/// An n-level system: severities geometrically rarer, costs growing with
+/// level, MTBF short enough that every level fails and restores.
+systems::SystemConfig deep_system(int n) {
+  systems::SystemConfig sys;
+  sys.name = "deep" + std::to_string(n);
+  sys.mtbf = 20.0;
+  sys.base_time = 1440.0;
+  double total = 0.0;
+  for (int k = 0; k < n; ++k) {
+    const double p = std::pow(0.6, k);
+    sys.severity_probability.push_back(p);
+    total += p;
+    sys.checkpoint_cost.push_back(0.1 * std::pow(1.4, k));
+  }
+  for (double& p : sys.severity_probability) p /= total;
+  sys.restart_cost = sys.checkpoint_cost;
+  return sys;
+}
+
+TEST(BatchIdentity, TwelveLevelSystemMatchesReference) {
+  const auto sys = deep_system(12);
+  ASSERT_NO_THROW(sys.validate());
+  // Alternating counts write every level within 2^6 intervals.
+  const auto plan = CheckpointPlan::full_hierarchy(
+      3.0, {1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1});
+  util::ThreadPool pool(4);
+  for (const auto policy :
+       {RestartPolicy::kRetrySameLevel, RestartPolicy::kMoodyEscalate}) {
+    SimOptions options;
+    options.restart_policy = policy;
+    const TrialStats ref = reference::run_trials(sys, plan, 64, 99, options);
+    EXPECT_GT(ref.mean_failures, 50.0);
+    expect_same_stats(run_trials(sys, plan, 64, 99, options), ref);
+    expect_same_stats(run_trials(sys, plan, 64, 99, options, &pool), ref);
+  }
+}
+
+TEST(CompiledSchedule, RejectsLevelsBeyondMaxLevelsByName) {
+  const auto sys = deep_system(systems::kMaxLevels + 1);
+  std::vector<int> counts(static_cast<std::size_t>(systems::kMaxLevels), 1);
+  const auto plan = CheckpointPlan::full_hierarchy(3.0, counts);
+  try {
+    CompiledSchedule::from_plan(sys, plan);
+    FAIL() << "a " << systems::kMaxLevels + 1 << "-level subset compiled";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxLevels"), std::string::npos)
+        << e.what();
+  }
+  // The deepest accepted hierarchy compiles.
+  const auto max_sys = deep_system(systems::kMaxLevels);
+  counts.pop_back();
+  EXPECT_NO_THROW(CompiledSchedule::from_plan(
+      max_sys, CheckpointPlan::full_hierarchy(3.0, counts)));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <vector>
@@ -131,6 +132,52 @@ TEST(Rng, DiscreteFromCdfTopBucketReachableWhenCdfFallsShortOfOne) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(rng.discrete_from_cdf(tiny), 1u);
   }
+}
+
+/// The first-match scan discrete_from_cdf used before it became a count:
+/// the smallest i < n-1 with u <= cdf[i], else n-1.
+std::size_t first_match_scan(double u, const std::vector<double>& cdf) {
+  for (std::size_t i = 0; i + 1 < cdf.size(); ++i) {
+    if (u <= cdf[i]) return i;
+  }
+  return cdf.size() - 1;
+}
+
+TEST(Rng, DiscreteFromCdfMatchesFirstMatchScan) {
+  // Random non-decreasing tables of 1..8 buckets, some with repeated
+  // entries (zero-probability buckets), some falling short of 1, and a
+  // third of the draws aimed exactly at an entry. The count of entries
+  // below u must equal the scan's first match on every one.
+  Rng table_rng(11);
+  Rng draw_rng(12);
+  int exact_hits = 0;
+  int zero_buckets = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t n = 1 + table_rng.below(8);
+    // Peek at the uniform the draw will consume.
+    Rng peek = draw_rng;
+    const double u = peek.uniform();
+    std::vector<double> cdf(n);
+    for (double& c : cdf) c = table_rng.uniform();
+    if (n > 1 && table_rng.below(3) == 0) {
+      cdf[table_rng.below(n - 1)] = u;
+    }
+    if (n > 2 && table_rng.below(2) == 0) {
+      const std::size_t j = table_rng.below(n - 1);
+      cdf[j + 1] = cdf[j];
+    }
+    std::sort(cdf.begin(), cdf.end());
+    if (table_rng.below(2) == 0) cdf.back() = 1.0;
+    for (std::size_t j = 0; j + 1 < n; ++j) {
+      if (cdf[j] == u) ++exact_hits;
+      if (cdf[j + 1] == cdf[j]) ++zero_buckets;
+    }
+    const std::size_t expected = first_match_scan(u, cdf);
+    ASSERT_EQ(draw_rng.discrete_from_cdf(cdf), expected)
+        << "trial " << trial << " u=" << u;
+  }
+  EXPECT_GT(exact_hits, 1000);
+  EXPECT_GT(zero_buckets, 1000);
 }
 
 TEST(Rng, BelowStaysInRangeAndCoversValues) {
